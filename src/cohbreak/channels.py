@@ -10,6 +10,9 @@ Three interchangeable representations are supported:
   indices v, s, and a d^2-vector flattens as u * d + v (C order).
 * ``QubitAffine`` -- the Bloch-ball action r -> M r + n of a qubit channel.
 
+Choi matrices, affine pairs, class tests and channel powers are all read off
+one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n).
+
 Kraus lists are pruned through the Choi matrix whenever composition pushes
 the operator count above d^2, which always suffices.
 """
@@ -17,6 +20,7 @@ the operator count above d^2, which always suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .errors import (
     NotTracePreservingError,
     ParameterOutOfRangeError,
 )
-from .linalg import PAULIS, TOL_HERM, TOL_PSD, hermiticity_defect, partial_trace
+from .linalg import PAULIS, TOL_HERM, TOL_PSD, hermiticity_defect, partial_trace, require_finite
 from .states import complex_matrix_from_json, complex_matrix_to_json
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
@@ -53,6 +57,7 @@ class KrausChannel:
                 raise DimensionMismatchError(
                     f"Kraus operator of shape {k.shape} in a dim-{self.dim} channel"
                 )
+        require_finite(self.kraus_ops, "Kraus operators")
         comp = sum(k.conj().T @ k for k in self.kraus_ops)
         defect = float(np.abs(comp - np.eye(self.dim)).max())
         if defect > TOL_CPTP:
@@ -63,6 +68,13 @@ class KrausChannel:
     @property
     def n_ops(self) -> int:
         return len(self.kraus_ops)
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """Read-only `transfer_matrix`, built on first use (d^4 entries)."""
+        t = transfer_matrix(self)
+        t.flags.writeable = False
+        return t
 
 
 def make_channel(kraus_ops, dim: int | None = None) -> KrausChannel:
@@ -89,6 +101,7 @@ class ChoiMatrix:
                 f"Choi matrix of a dim-{d} channel must be {d * d}x{d * d}, "
                 f"got {self.matrix.shape}"
             )
+        require_finite(self.matrix, "Choi matrix")
         if hermiticity_defect(self.matrix) > TOL_HERM:
             raise NotPSDError("Choi matrix is not Hermitian within tolerance")
         w_min = float(np.linalg.eigvalsh(self.matrix).min())
@@ -119,6 +132,8 @@ class QubitAffine:
             raise DimensionMismatchError("m must be 3x3")
         if np.asarray(self.shift).shape != (3,):
             raise DimensionMismatchError("shift must be a 3-vector")
+        require_finite(self.m, "m")
+        require_finite(self.shift, "shift")
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -159,12 +174,15 @@ def iterate(channel: KrausChannel, n: int) -> KrausChannel:
     return power
 
 
+def _reshuffle(a: np.ndarray, d: int) -> np.ndarray:
+    """Swap the middle indices of (d, d, d, d): transfer matrix <-> d * Choi."""
+    return a.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def kraus_to_choi(channel: KrausChannel) -> ChoiMatrix:
     """(Phi otimes id)(|beta><beta|) = (1/d) sum_n vec(K_n) vec(K_n)^dag."""
     d = channel.dim
-    vecs = np.stack([k.reshape(d * d) for k in channel.kraus_ops])
-    mat = np.einsum("ni,nj->ij", vecs, vecs.conj()) / d
-    return ChoiMatrix(dim=d, matrix=mat)
+    return ChoiMatrix(dim=d, matrix=_reshuffle(channel.transfer, d) / d)
 
 
 def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
@@ -187,52 +205,40 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
 
 
 def transfer_matrix(channel: KrausChannel) -> np.ndarray:
-    """The d^2 x d^2 matrix acting on vec(rho): sum_n K_n otimes conj(K_n)."""
-    k = np.stack(channel.kraus_ops)
+    """T = sum_n K_n otimes conj(K_n), acting on row-major vec(rho).
+
+    Phi(|i><j|)[u, v] = T[u*d + v, i*d + j]; built as a reshuffled product.
+    """
     d = channel.dim
-    t = np.einsum("nur,nvs->uvrs", k, k.conj())
-    return t.reshape(d * d, d * d)
+    vecs = np.stack(channel.kraus_ops).reshape(-1, d * d)
+    return _reshuffle(vecs.T @ vecs.conj(), d)
+
+
+# Columns vec(I), vec(sigma_x), vec(sigma_y), vec(sigma_z); P^dag P = 2 I.
+_PAULI_VECS = np.stack([np.eye(2, dtype=complex), *PAULIS]).reshape(4, 4).T
 
 
 def affine_from_kraus(channel: KrausChannel) -> QubitAffine:
-    """Affine Bloch representation M_jk = Tr[s_j Phi(s_k)]/2, n_j = Tr[s_j Phi(I)]/2."""
+    """M_jk = Tr[s_j Phi(s_k)]/2, n_j = Tr[s_j Phi(I)]/2: blocks of P^dag T P / 2."""
     if channel.dim != 2:
         raise DimensionMismatchError(
             f"affine representation is defined for qubits, got dim {channel.dim}"
         )
-    m = np.empty((3, 3))
-    for k, sk in enumerate(PAULIS):
-        out = apply(channel, sk)
-        for j, sj in enumerate(PAULIS):
-            m[j, k] = 0.5 * np.trace(sj @ out).real
-    phi_id = apply(channel, np.eye(2, dtype=complex))
-    shift = np.array([0.5 * np.trace(sj @ phi_id).real for sj in PAULIS])
-    return QubitAffine(m=m, shift=shift)
-
-
-def _affine_image(rep: QubitAffine, x: np.ndarray) -> np.ndarray:
-    """Linear extension of the affine action to arbitrary 2x2 matrices."""
-    tr = complex(np.trace(x))
-    s = np.array([np.trace(x @ sigma) for sigma in PAULIS])
-    out_vec = rep.m @ s + tr * rep.shift
-    out = tr * 0.5 * np.eye(2, dtype=complex)
-    for comp, sigma in zip(out_vec, PAULIS):
-        out += 0.5 * comp * sigma
-    return out
+    r = (_PAULI_VECS.conj().T @ channel.transfer @ _PAULI_VECS).real / 2
+    return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
 
 def affine_to_kraus(rep: QubitAffine) -> KrausChannel:
     """Promote an affine pair to a Kraus channel via its Choi matrix.
 
+    The pair fills the Pauli transfer matrix R, so T = P R P^dag / 2.
     Raises NotPSDError when (m, shift) is not completely positive.
     """
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            choi += 0.5 * np.kron(_affine_image(rep, unit), unit)
-    return choi_to_kraus(ChoiMatrix(dim=2, matrix=choi))
+    r = np.eye(4)
+    r[1:, 0] = rep.shift
+    r[1:, 1:] = rep.m
+    t = _PAULI_VECS @ r @ _PAULI_VECS.conj().T / 2
+    return choi_to_kraus(ChoiMatrix(dim=2, matrix=_reshuffle(t, 2) / 2))
 
 
 def affine_iterate(rep: QubitAffine, n: int) -> QubitAffine:
@@ -343,6 +349,7 @@ def cbc_from_povm(effects) -> KrausChannel:
     for i, f in enumerate(effects):
         if f.shape != (d, d):
             raise NotPOVMError(f"effect {i} has shape {f.shape}, expected {(d, d)}")
+        require_finite(f, f"effect {i}")
         if hermiticity_defect(f) > TOL_HERM:
             raise NotPOVMError(f"effect {i} is not Hermitian within tolerance")
         w_min = float(np.linalg.eigvalsh(f).min())

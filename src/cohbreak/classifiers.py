@@ -6,16 +6,18 @@ Classes and their decision procedures:
   decomposition. Membership can depend on the decomposition, so
   ``classify`` retries with the canonical Choi-extracted set before
   reporting "no".
-* CBC / DIO -- decomposition-independent tests on the channel's action on
-  the d^2 matrix units |i><j| (linearity makes matrix units sufficient).
+* CBC / DIO -- decomposition-independent masked maxima over the images of
+  the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
+  the columns of the transfer matrix T.
 * QC -- the outputs of a Hermitian operator basis must pairwise commute;
   commuting Hermitian outputs are simultaneously diagonalizable, which is
   exactly the measure-and-prepare form with rank-one projectors in some
-  orthonormal basis.
-* entanglement breaking -- PPT test on the Choi matrix. For qubits PPT is
-  equivalent to separability, so the verdict is decisive; for d >= 3 a
-  positive partial transpose is only necessary and the verdict stays
-  "inconclusive".
+  orthonormal basis. The outputs are one product of T with the vectorized
+  Gell-Mann basis.
+* entanglement breaking -- PPT test on the Choi matrix, a reshuffle of T.
+  For qubits PPT is equivalent to separability, so the verdict is decisive;
+  for d >= 3 a positive partial transpose is only necessary and the verdict
+  stays "inconclusive".
 
 A coherence breaking channel always admits a Kraus set whose every branch
 outputs a diagonal state (take K_ik = sqrt(lambda_ik)|i><phi_ik| from the
@@ -31,27 +33,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, apply, choi_to_kraus, kraus_to_choi
+from .channels import KrausChannel, QubitAffine, choi_to_kraus, kraus_to_choi
 from .errors import InconsistentVerdictsError
 from .linalg import generalized_gell_mann, partial_transpose
 
 DEFAULT_TOL = 1e-8
 
 
-def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    unit = np.zeros((d, d), dtype=complex)
-    unit[i, j] = 1.0
-    return unit
-
-
 def matrix_unit_images(channel: KrausChannel) -> np.ndarray:
-    """Phi(|i><j|) for all i, j, as an array of shape (d, d, d, d)."""
+    """Phi(|i><j|) for all i, j, as a read-only array of shape (d, d, d, d)."""
     d = channel.dim
-    out = np.empty((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = apply(channel, _matrix_unit(d, i, j))
-    return out
+    return channel.transfer.reshape(d, d, d, d).transpose(2, 3, 0, 1)
+
+
+def _second_largest(mags: np.ndarray, axis: int) -> np.ndarray:
+    """Second-largest entry along an axis (0 where the axis has one entry)."""
+    if mags.shape[axis] < 2:
+        return np.zeros(np.delete(mags.shape, axis))
+    return np.take(np.sort(mags, axis=axis), -2, axis=axis)
 
 
 def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -60,16 +59,12 @@ def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Returns (ok, witness); on failure the witness names the first violating
     (operator, column) and the achieved residual (second-largest magnitude).
     """
-    worst = 0.0
-    for n, k in enumerate(channel.kraus_ops):
-        mags = np.abs(k)
-        for j in range(channel.dim):
-            col = np.sort(mags[:, j])[::-1]
-            second = float(col[1]) if col.size > 1 else 0.0
-            if second > tol:
-                return False, {"operator": n, "column": j, "residual": second}
-            worst = max(worst, second)
-    return True, {"residual": worst}
+    second = _second_largest(np.abs(np.stack(channel.kraus_ops)), axis=1)
+    bad = np.argwhere(second > tol)  # row-major order: first operator, then column
+    if len(bad):
+        n, j = (int(x) for x in bad[0])
+        return False, {"operator": n, "column": j, "residual": float(second[n, j])}
+    return True, {"residual": float(second.max())}
 
 
 def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -82,16 +77,12 @@ def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     if not ok_col:
         witness["axis"] = "column"
         return False, witness
-    worst = witness["residual"]
-    for n, k in enumerate(channel.kraus_ops):
-        mags = np.abs(k)
-        for i in range(channel.dim):
-            row = np.sort(mags[i, :])[::-1]
-            second = float(row[1]) if row.size > 1 else 0.0
-            if second > tol:
-                return False, {"operator": n, "row": i, "residual": second, "axis": "row"}
-            worst = max(worst, second)
-    return True, {"residual": worst}
+    second = _second_largest(np.abs(np.stack(channel.kraus_ops)), axis=2)
+    bad = np.argwhere(second > tol)
+    if len(bad):
+        n, i = (int(x) for x in bad[0])
+        return False, {"operator": n, "row": i, "residual": float(second[n, i]), "axis": "row"}
+    return True, {"residual": max(witness["residual"], float(second.max()))}
 
 
 def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -101,15 +92,36 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     to a reference-basis vector, so every selective branch K rho K^dag is
     diagonal.
     """
-    worst = 0.0
-    for n, k in enumerate(channel.kraus_ops):
-        row_norms = np.abs(k).max(axis=1)
-        order = np.argsort(row_norms)[::-1]
-        second = float(row_norms[order[1]]) if len(order) > 1 else 0.0
-        if second > tol:
-            return False, {"operator": n, "rows": [int(order[0]), int(order[1])],
-                           "residual": second}
-        worst = max(worst, second)
+    row_norms = np.abs(np.stack(channel.kraus_ops)).max(axis=2)
+    second = _second_largest(row_norms, axis=1)
+    bad = np.flatnonzero(second > tol)
+    if len(bad):
+        n = int(bad[0])
+        order = np.argsort(row_norms[n])[::-1]
+        return False, {"operator": n, "rows": [int(order[0]), int(order[1])],
+                       "residual": float(second[n])}
+    return True, {"residual": float(second.max())}
+
+
+def _unit_image_maxima(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest |off-diagonal| and |diagonal| entry of each image Phi(|i><j|),
+    as (d, d) arrays over (i, j) read off a transfer matrix. Phi(|j><i|) is
+    the adjoint of Phi(|i><j|), so both arrays are symmetrized: the tie is
+    exact and the first largest unit in (i, j) order has i <= j."""
+    mags = np.abs(t).reshape(d, d, d, d)  # [u, v, i, j]
+    diag = np.arange(d)
+    on = mags[diag, diag].max(axis=0)
+    mags[diag, diag] = 0.0
+    off = mags.max(axis=(0, 1))
+    return np.maximum(off, off.T), np.maximum(on, on.T)
+
+
+def _unit_verdict(residuals: np.ndarray, tol: float):
+    """(ok, witness) naming the first unit (i, j) with the largest residual."""
+    flat = int(np.argmax(residuals))
+    worst = float(residuals.flat[flat])
+    if worst > tol:
+        return False, {"unit": list(divmod(flat, residuals.shape[1])), "residual": worst}
     return True, {"residual": worst}
 
 
@@ -120,24 +132,8 @@ def is_cbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Decomposition independent. Returns (ok, witness) with the offending
     unit (i, j) and the largest off-diagonal residual.
     """
-    images = matrix_unit_images(channel)
-    return _is_cbc_from_images(images, tol)
-
-
-def _is_cbc_from_images(images: np.ndarray, tol: float):
-    d = images.shape[0]
-    off_mask = ~np.eye(d, dtype=bool)
-    worst = 0.0
-    worst_unit = None
-    for i in range(d):
-        for j in range(d):
-            residual = float(np.abs(images[i, j][off_mask]).max())
-            if residual > worst:
-                worst = residual
-                worst_unit = (i, j)
-    if worst > tol:
-        return False, {"unit": list(worst_unit), "residual": worst}
-    return True, {"residual": worst}
+    off, _ = _unit_image_maxima(channel.transfer, channel.dim)
+    return _unit_verdict(off, tol)
 
 
 def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
@@ -156,23 +152,8 @@ def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Concretely: Phi(|i><i|) must be diagonal and Phi(|i><j|), i != j, must
     have zero diagonal.
     """
-    images = matrix_unit_images(channel)
-    d = images.shape[0]
-    off_mask = ~np.eye(d, dtype=bool)
-    worst = 0.0
-    worst_unit = None
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                residual = float(np.abs(images[i, j][off_mask]).max())
-            else:
-                residual = float(np.abs(np.diag(images[i, j])).max())
-            if residual > worst:
-                worst = residual
-                worst_unit = (i, j)
-    if worst > tol:
-        return False, {"unit": list(worst_unit), "residual": worst}
-    return True, {"residual": worst}
+    off, on = _unit_image_maxima(channel.transfer, channel.dim)
+    return _unit_verdict(np.where(np.eye(channel.dim, dtype=bool), off, on), tol)
 
 
 def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -183,13 +164,13 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     is equivalent to the measure-and-prepare form in some output basis.
     """
     d = channel.dim
-    basis = list(generalized_gell_mann(d).generators) + [np.eye(d, dtype=complex)]
-    outputs = [apply(channel, h) for h in basis]
+    basis = np.stack(generalized_gell_mann(d).generators + (np.eye(d, dtype=complex),))
+    outputs = (channel.transfer @ basis.reshape(-1, d * d).T).T.reshape(-1, d, d)
     worst = 0.0
-    for a in range(len(outputs)):
-        for b in range(a + 1, len(outputs)):
-            comm = outputs[a] @ outputs[b] - outputs[b] @ outputs[a]
-            worst = max(worst, float(np.abs(comm).max()))
+    for a in range(len(outputs) - 1):
+        later = outputs[a + 1:]
+        comm = outputs[a] @ later - later @ outputs[a]
+        worst = max(worst, float(np.abs(comm).max()))
     return worst <= tol, {"max_commutator": worst}
 
 

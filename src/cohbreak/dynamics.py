@@ -19,10 +19,9 @@ from .channels import (
     affine_iterate,
     apply,
     choi_to_kraus,
-    compose,
     kraus_to_choi,
 )
-from .classifiers import DEFAULT_TOL, is_cbc, is_cbc_affine, is_incoherent_kraus
+from .classifiers import DEFAULT_TOL, _unit_image_maxima, is_cbc_affine, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
     DimensionMismatchError,
@@ -83,21 +82,22 @@ def coherence_breaking_index(
 ) -> IndexResult:
     """Least n with an all-diagonal matrix-unit image for the n-th power.
 
-    The channel must certify incoherent. Powers are built incrementally and
-    re-extracted through the Choi matrix to keep the Kraus count bounded.
-    Exhausting the cap is a result, not an error.
+    The channel must certify incoherent. The n-th power is the transfer
+    matrix T^n = T^(n-1) T, and its residual is the largest off-diagonal
+    entry of any matrix-unit image, as in `is_cbc`. Exhausting the cap is a
+    result, not an error.
     """
     if cap < 1:
         raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
     certify_incoherent(channel, tol)
     residuals: list[float] = []
-    power = channel
+    t = power = channel.transfer
     for n in range(1, cap + 1):
         if n > 1:
-            power = compose(power, channel)
-        ok, witness = is_cbc(power, tol)
-        residuals.append(witness["residual"])
-        if ok:
+            power = power @ t
+        residual = float(_unit_image_maxima(power, channel.dim)[0].max())
+        residuals.append(residual)
+        if residual <= tol:
             return IndexResult(value=n, cap=cap, residuals=tuple(residuals))
     return IndexResult(value=None, cap=cap, residuals=tuple(residuals))
 

@@ -29,6 +29,10 @@ class NotTracePreservingError(CohbreakError):
     """Kraus operators do not sum to the identity under K^dag K."""
 
 
+class NonFiniteError(CohbreakError, ValueError):
+    """Input holds a NaN or infinite entry (malformed input, so a ValueError)."""
+
+
 class NotPSDError(CohbreakError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
+    NonFiniteError,
     NotDensityMatrixError,
     NotHermitianError,
 )
@@ -29,6 +30,12 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def require_finite(a, what: str) -> None:
+    """Raise NonFiniteError on a NaN or infinite entry (NaN > tol is False)."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} has a NaN or infinite entry")
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -78,11 +85,13 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
 
     Checks Hermiticity (TOL_HERM), unit trace (TOL_TRACE) and positivity
     (eigenvalues >= -TOL_PSD); round-off negatives are clamped to 0.
-    Raises NotDensityMatrixError on violation.
+    Raises NonFiniteError on a NaN or infinite entry and
+    NotDensityMatrixError on any other violation.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotDensityMatrixError(f"expected a square matrix, got shape {rho.shape}")
+    require_finite(rho, "density matrix")
     if hermiticity_defect(rho) > TOL_HERM:
         raise NotDensityMatrixError("matrix is not Hermitian within tolerance")
     tr = complex(np.trace(rho))

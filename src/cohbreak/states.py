@@ -58,11 +58,6 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def fourier_state(d: int, k: int) -> np.ndarray:
-    """The k-th Fourier phase state, theta_j = 2 pi k j / d."""
-    return maximally_coherent(d, 2.0 * np.pi * k * np.arange(d) / d)
-
-
 def worker_seed(seed: int, worker: int) -> int:
     """Sub-seed for parallel sampling workers: seed xor worker index."""
     return int(seed) ^ int(worker)

@@ -456,3 +456,72 @@ def test_channel_json_dispatch_errors():
                                                 [[0.0, 0.0], [1.0, 0.0]]]]})
     with pytest.raises(ValueError):
         channel_from_json({"affine": {"m": [[1.0]]}})
+
+
+# --- transfer-matrix reshape conventions -------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_matrix_unit_images_match_apply(d):
+    from cohbreak.classifiers import matrix_unit_images
+
+    ch = random_channel(d, 3, np.random.default_rng(30 + d))
+    images = matrix_unit_images(ch)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            assert np.abs(images[i, j] - apply(ch, unit)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_choi_is_vec_outer_product_sum(d):
+    ch = random_channel(d, 3, np.random.default_rng(40 + d))
+    expected = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ch.kraus_ops) / d
+    assert np.abs(kraus_to_choi(ch).matrix - expected).max() < 1e-12
+
+
+def test_affine_from_kraus_matches_pauli_traces():
+    from cohbreak.linalg import PAULIS
+
+    rng = np.random.default_rng(50)
+    for rank in (1, 2, 4):
+        ch = random_channel(2, rank, rng)
+        rep = affine_from_kraus(ch)
+        phi_id = apply(ch, np.eye(2, dtype=complex))
+        for j, sj in enumerate(PAULIS):
+            assert abs(rep.shift[j] - 0.5 * np.trace(sj @ phi_id).real) < 1e-12
+            for k, sk in enumerate(PAULIS):
+                assert abs(rep.m[j, k] - 0.5 * np.trace(sj @ apply(ch, sk)).real) < 1e-12
+
+
+def test_transfer_matrix_is_cached_and_read_only():
+    ch = random_channel(3, 2, np.random.default_rng(51))
+    assert ch.transfer is ch.transfer
+    with pytest.raises(ValueError):
+        ch.transfer[0, 0] = 1.0
+
+
+# --- non-finite input ----------------------------------------------------------
+
+
+def test_non_finite_input_is_rejected():
+    from cohbreak.channels import ChoiMatrix
+    from cohbreak.errors import CohbreakError
+    from cohbreak.linalg import density_eigenvalues
+
+    nan_op = np.eye(2, dtype=complex)
+    nan_op[0, 1] = np.nan
+    nan_choi = np.eye(4, dtype=complex) / 4
+    nan_choi[1, 2] = np.nan
+    cases = [
+        lambda: make_channel([nan_op]),
+        lambda: ChoiMatrix(dim=2, matrix=nan_choi),
+        lambda: QubitAffine(m=np.diag([np.nan, 0.0, 0.0]), shift=np.zeros(3)),
+        lambda: QubitAffine(m=np.zeros((3, 3)), shift=np.array([0.0, 0.0, np.inf])),
+        lambda: density_eigenvalues(np.diag([np.nan, 1.0])),
+        lambda: cbc_from_povm([np.diag([1.0, np.nan]), np.diag([0.0, 1.0])]),
+    ]
+    for build in cases:
+        with pytest.raises(CohbreakError, match="NaN or infinite"):
+            build()

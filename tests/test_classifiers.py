@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohbreak.channels import (
     QubitAffine,
@@ -10,6 +12,7 @@ from cohbreak.channels import (
     identity_channel,
     make_channel,
     random_channel,
+    random_incoherent_channel,
     random_povm,
     unitary_channel,
     y_to_x_channel,
@@ -279,3 +282,19 @@ def test_second_example_channel_classification():
     assert not ok
     assert not is_cbc_affine(rep)
     assert is_cbc_affine(affine_iterate(rep, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3]), kind=st.sampled_from(["random", "incoherent", "povm"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_classify_verdicts_ignore_kraus_order(data, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        ch = random_channel(d, 3, rng)
+    elif kind == "incoherent":
+        ch = random_incoherent_channel(d, rng)
+    else:
+        ch = cbc_from_povm(random_povm(d, d, rng))
+    order = data.draw(st.permutations(range(ch.n_ops)))
+    permuted = make_channel([ch.kraus_ops[i] for i in order], dim=d)
+    assert classify(permuted).verdicts == classify(ch).verdicts

@@ -88,6 +88,30 @@ def test_index_rejects_non_incoherent_channel(files, capsys):
     assert "incoherent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["classify"], ["index"]])
+def test_nan_kraus_entry_is_usage_error(files, capsys, command):
+    kraus = channel_to_json(dephasing_channel(2))
+    kraus["kraus"][0][1][1] = [float("nan"), 0.0]
+    path = files["tmp"] / "nan_channel.json"
+    path.write_text(json.dumps(kraus))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--channel", str(path)])
+    assert exc.value.code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_evolve_nan_state_is_usage_error(files, capsys):
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = np.nan
+    path = files["tmp"] / "nan_state.json"
+    path.write_text(json.dumps(state_to_json(rho)))
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--channel", str(files["gad"]), "--state", str(path),
+              "--steps", "2"])
+    assert exc.value.code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_evolve_fig2_lines(files):
     out = files["tmp"] / "traj.csv"
     code = main(["evolve", "--channel", str(files["example1"]),

@@ -289,3 +289,13 @@ def test_povm_channels_have_index_one():
         for _ in range(5):
             channel = cbc_from_povm(random_povm(d, d, rng))
             assert coherence_breaking_index(channel).value == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_index_residuals_match_is_cbc_of_powers(d):
+    rng = np.random.default_rng(60 + d)
+    for channel in (random_incoherent_channel(d, rng), partial_dephasing_channel(d, 0.6)):
+        result = coherence_breaking_index(channel, cap=6)
+        for n, residual in enumerate(result.residuals, start=1):
+            _, witness = is_cbc(iterate(channel, n))
+            assert abs(residual - witness["residual"]) < 1e-9
