@@ -13,8 +13,8 @@ Three interchangeable representations are supported:
 Choi matrices, affine pairs, class tests and channel powers are all read off
 one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n).
 
-Kraus lists are pruned through the Choi matrix whenever composition pushes
-the operator count above d^2, which always suffices.
+Composition goes through the Choi matrix of T_outer T_inner whenever the
+product list would exceed d^2 operators, which always suffices.
 """
 
 from __future__ import annotations
@@ -150,18 +150,16 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """Channel composition outer(inner(.)); Kraus list is all products.
 
-    The product list is re-extracted through the Choi matrix when it grows
-    beyond d^2 operators.
+    When the product list would exceed d^2 operators, the Kraus set is
+    extracted instead from the Choi matrix of T_outer T_inner, so the
+    products are never formed.
     """
-    if outer.dim != inner.dim:
-        raise DimensionMismatchError(
-            f"cannot compose dim {outer.dim} with dim {inner.dim}"
-        )
-    ops = [a @ b for a in outer.kraus_ops for b in inner.kraus_ops]
-    result = make_channel(ops, dim=outer.dim)
-    if result.n_ops > outer.dim**2:
-        result = choi_to_kraus(kraus_to_choi(result))
-    return result
+    d = outer.dim
+    if d != inner.dim:
+        raise DimensionMismatchError(f"cannot compose dim {d} with dim {inner.dim}")
+    if outer.n_ops * inner.n_ops > d**2:
+        return choi_to_kraus(ChoiMatrix(d, _reshuffle(outer.transfer @ inner.transfer, d) / d))
+    return make_channel([a @ b for a in outer.kraus_ops for b in inner.kraus_ops], dim=d)
 
 
 def iterate(channel: KrausChannel, n: int) -> KrausChannel:

@@ -45,6 +45,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conc.add_argument("--channel", default="identity",
                         help="channel JSON file or 'identity' (default)")
     p_conc.add_argument("--samples", type=_positive_int, default=10_000)
-    p_conc.add_argument("--seed", type=int, required=True,
+    p_conc.add_argument("--seed", type=_nonnegative_int, required=True,
                         help="sampling seed; runs are byte-reproducible")
     p_conc.add_argument("--eps", type=_epsilon_list, required=True,
                         help="comma-separated epsilon list, e.g. 0.05,0.1")

@@ -6,8 +6,11 @@ the mean output coherence, and end-to-end tail experiments comparing
 empirical frequencies against the bounds.
 
 Channels may be passed either as a single KrausChannel or as a sequence of
-KrausChannel tensor factors (left to right); the factored form is applied
-leg by leg, which keeps many-qubit product channels tractable.
+KrausChannel tensor factors (left to right), applied leg by leg through each
+leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
+through its Kraus stack in one GEMM, w = K psi, and never build the d^4
+transfer matrix; a rank-1 channel gives c_l1 = (sum |w|)^2 - sum |w|^2
+directly. Samples run in chunks sized by the `_CHUNK_BYTES` byte budget.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .linalg import trace_distance
 from .states import haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
-_CHUNK = 512
+_CHUNK_BYTES = 32 * 2**20  # largest per-sample array of a chunk: w (m*d) or rho (d^2)
 
 
 def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
@@ -92,37 +95,30 @@ def product_dim(channel) -> int:
     return int(np.prod([f.dim for f in _normalize_factors(channel)]))
 
 
-def _apply_factor_leg(rhos: np.ndarray, kstack: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Apply a small channel to one tensor leg of a batch of matrices.
-
-    rhos has shape (batch, d, d) with d = left * dk * right; kstack has
-    shape (m, dk, dk). Contracted in two matmul-shaped steps; the single
-    three-operand einsum is an order of magnitude slower here.
-    """
-    b, d, _ = rhos.shape
-    dk = kstack.shape[1]
-    t = rhos.reshape(b, left, dk, right, left, dk, right)
-    u = np.einsum("aij,bpjqrks->abpiqrks", kstack, t)
-    out = np.einsum("abpiqrks,alk->bpiqrls", u, kstack.conj())
-    return out.reshape(b, d, d)
-
-
 def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
-    """Apply a channel (or tensor factors, left to right) to a state batch."""
+    """Apply a channel (or tensor factors, left to right) to a state batch.
+
+    The batch is reordered once to (b, d1^2, d2^2, ...), so each leg's
+    (row, col) pair is one axis, and each leg is one matmul with its cached
+    `transfer`: dk^4 entries, the same array `classify` builds. A matmul
+    moves its leg to the back, so after the last leg the order is restored.
+    """
     factors = _normalize_factors(channel)
-    d = int(np.prod([f.dim for f in factors]))
+    dims = [f.dim for f in factors]
+    d = int(np.prod(dims))
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape[1:] != (d, d):
         raise ParameterOutOfRangeError(
             f"batch of shape {rhos.shape} does not match total dimension {d}"
         )
-    left = 1
-    out = rhos
+    b, n = len(rhos), len(dims)
+    order = [0] + [ax for k in range(1, n + 1) for ax in (k, n + k)]
+    x = rhos.reshape(b, *dims, *dims).transpose(order).reshape(b, d * d)
     for f in factors:
-        right = d // (left * f.dim)
-        out = _apply_factor_leg(out, np.stack(f.kraus_ops), left, right)
-        left *= f.dim
-    return out
+        a = f.dim**2
+        x = (x.reshape(b, a, d * d // a).transpose(0, 2, 1) @ f.transfer.T).reshape(b, d * d)
+    pairs = x.reshape(b, *(dk for dk in dims for _ in range(2)))
+    return pairs.transpose(np.argsort(order)).reshape(b, d, d)
 
 
 def _c_l1_batch(rhos: np.ndarray) -> np.ndarray:
@@ -131,22 +127,39 @@ def _c_l1_batch(rhos: np.ndarray) -> np.ndarray:
     return mags.sum(axis=(1, 2))
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterOutOfRangeError(f"need seed >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _chunk(entries: int) -> int:
+    """Samples per chunk when a sample's largest array has `entries` entries."""
+    return max(1, _CHUNK_BYTES // (16 * entries))
+
+
+def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
+    """Phi(|psi><psi|) per ket; a single factor goes through W = kets K^T."""
+    if len(factors) > 1:
+        return apply_batch(factors, np.einsum("bi,bj->bij", kets, kets.conj()))
+    kstack = np.stack(factors[0].kraus_ops)
+    m, d, _ = kstack.shape
+    w = (kets @ kstack.reshape(m * d, d).T).reshape(-1, m, d)
+    return w.transpose(0, 2, 1) @ w.conj()
+
+
 def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
-    d = product_dim(channel)
     factors = _normalize_factors(channel)
-    rng = np.random.default_rng(seed)
-    kets = haar_random_kets(d, samples, rng)
+    d = product_dim(factors)
+    kets = haar_random_kets(d, samples, _rng(seed))
+    if len(factors) == 1 and factors[0].n_ops == 1:
+        # Rank 1 (identity or unitary): c_l1 = (sum |w|)^2 - sum |w|^2.
+        mags = np.abs(kets @ factors[0].kraus_ops[0].T)
+        return mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
+    step = _chunk(d * max(d, factors[0].n_ops))
     out = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        block = kets[start:start + _CHUNK]
-        if len(factors) == 1:
-            # Pure inputs: push the kets through the Kraus stack directly.
-            w = np.einsum("nij,bj->bni", np.stack(factors[0].kraus_ops), block)
-            rhos = np.einsum("bni,bnj->bij", w, w.conj())
-        else:
-            rhos = np.einsum("bi,bj->bij", block, block.conj())
-            rhos = apply_batch(channel, rhos)
-        out[start:start + len(block)] = _c_l1_batch(rhos)
+    for start in range(0, samples, step):
+        out[start:start + step] = _c_l1_batch(_pure_outputs(factors, kets[start:start + step]))
     return out
 
 
@@ -280,16 +293,18 @@ def contraction_check(channel, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
-    d = product_dim(channel)
-    rng = np.random.default_rng(seed)
-    kets = haar_random_kets(d, 2 * samples, rng)
-    rhos = np.einsum("bi,bj->bij", kets, kets.conj())
-    outs = apply_batch(channel, rhos)
+    factors = _normalize_factors(channel)
+    d = product_dim(factors)
+    kets = haar_random_kets(d, 2 * samples, _rng(seed))
     worst = 0.0
-    for i in range(samples):
-        rho, sigma = rhos[2 * i], rhos[2 * i + 1]
-        denom = trace_distance(rho, sigma)
-        if denom < 1e-12:
-            continue
-        worst = max(worst, trace_distance(outs[2 * i], outs[2 * i + 1]) / denom)
+    step = 2 * _chunk(2 * d * max(d, factors[0].n_ops))
+    for start in range(0, 2 * samples, step):
+        block = kets[start:start + step]
+        rhos = np.einsum("bi,bj->bij", block, block.conj())
+        outs = _pure_outputs(factors, block)
+        for i in range(0, len(block), 2):
+            denom = trace_distance(rhos[i], rhos[i + 1])
+            if denom < 1e-12:
+                continue
+            worst = max(worst, trace_distance(outs[i], outs[i + 1]) / denom)
     return worst

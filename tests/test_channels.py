@@ -116,6 +116,35 @@ def test_compose_dimension_mismatch():
         compose(identity_channel(2), identity_channel(3))
 
 
+def _many_op_channel(d: int, m: int, rng: np.random.Generator):
+    """K_n = G_n S^(-1/2) for m Gaussian G_n, with S = sum G_n^dag G_n."""
+    g = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    w, v = np.linalg.eigh(np.einsum("nji,njk->ik", g.conj(), g))
+    return make_channel(g @ (v * w**-0.5) @ v.conj().T, dim=d)
+
+
+def test_compose_many_ops_skips_the_product_list():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    d = 8
+    outer, inner = _many_op_channel(d, 200, rng), _many_op_channel(d, 200, rng)
+    tracemalloc.start()
+    try:
+        result = compose(outer, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 40000 products alone would take 40000 d^2 * 16 B, about 41 MB.
+    assert peak < 16 * d**4 * 16
+    assert result.n_ops <= d**2
+    for e in matrix_units(d):
+        assert np.abs(apply(result, e) - apply(outer, apply(inner, e))).max() < 1e-12
+    few = random_channel(d, 2, rng)
+    products = make_channel([a @ b for a in outer.kraus_ops for b in few.kraus_ops], dim=d)
+    assert channels_act_alike(compose(outer, few), products, tol=1e-12)
+
+
 def test_iterate_once_is_identity_operation():
     ch = gad_channel(0.5, 0.5)
     assert channels_act_alike(iterate(ch, 1), ch, tol=0.0)

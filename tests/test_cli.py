@@ -206,6 +206,14 @@ def test_concentrate_dim_channel_mismatch_is_usage_error(files):
     assert exc.value.code == 2
 
 
+def test_concentrate_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["concentrate", "--dim", "4", "--samples", "10", "--seed", "-1",
+              "--eps", "0.1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--nope"])

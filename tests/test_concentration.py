@@ -1,16 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohbreak.channels import (
+    apply,
     dephasing_channel,
     gad_channel,
+    haar_unitary,
     identity_channel,
     kron_channel,
+    random_channel,
     unitary_channel,
 )
 from cohbreak.coherence import c_l1
 from cohbreak.concentration import (
+    _CHUNK_BYTES,
     ConcentrationReport,
+    _sample_output_coherences,
     apply_batch,
     contraction_check,
     corollary_bound,
@@ -227,3 +236,82 @@ def test_coherence_difference_chain_inequality():
         lhs = abs(c_l1(out_a) - c_l1(out_b)) / (d - 1)
         rhs = 2.0 * lipschitz_scaled_l1(d) * eta * np.linalg.norm(psi - phi)
         assert lhs <= rhs + 1e-10
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_concentration_experiment(identity_channel(4), d=4, samples=10,
+                                         epsilons=[0.1], seed=-1),
+    lambda: estimate_mean_coherence(identity_channel(4), 10, seed=-1),
+    lambda: contraction_check(gad_channel(0.7, 1.0), samples=10, seed=-1),
+])
+def test_negative_seed_is_out_of_range(call):
+    with pytest.raises(ParameterOutOfRangeError):
+        call()
+
+
+# At d = 1024 the corollary bound is 0.77 at eps = 0.6 and 0.14 at eps = 1.0,
+# so these tails are checked against an informative bound.
+BOUND_EPSILONS = [0.6, 1.0]
+
+
+def _assert_tails_within_bounds(report):
+    for tail, bound in zip(report.tails, report.corollary_bounds):
+        assert bound < 1.0
+        sigma = np.sqrt(tail * (1.0 - tail) / report.samples)
+        assert tail - 3.0 * sigma <= bound
+
+
+@pytest.fixture(scope="module")
+def gad_product_1024():
+    """The 10-leg damping product at d = 1024, with its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        report = run_concentration_experiment(
+            [gad_channel(0.7, 1.0)] * 10, d=1024, samples=32, epsilons=BOUND_EPSILONS, seed=21
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_identity_tails_below_informative_bound_at_d1024():
+    report = run_concentration_experiment(
+        identity_channel(1024), d=1024, samples=2000, epsilons=BOUND_EPSILONS, seed=20
+    )
+    _assert_tails_within_bounds(report)
+
+
+def test_gad_product_tails_below_informative_bound_at_d1024(gad_product_1024):
+    _assert_tails_within_bounds(gad_product_1024[0])
+
+
+def test_gad_product_memory_is_bounded_by_the_chunk_budget(gad_product_1024):
+    # One d = 1024 sample is 16 MiB per d x d array; 512 of them would be 8 GiB.
+    assert gad_product_1024[1] < 4 * _CHUNK_BYTES
+
+
+@settings(max_examples=25, deadline=None)
+@given(legs=st.lists(st.tuples(st.sampled_from([2, 3]), st.integers(1, 3),
+                               st.integers(0, 2**32 - 1)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_batch_matches_kron_channel(legs, seed):
+    factors = [random_channel(dk, rank, np.random.default_rng(s)) for dk, rank, s in legs]
+    full = factors[0]
+    for f in factors[1:]:
+        full = kron_channel(full, f)
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([random_density_matrix(full.dim, rng) for _ in range(3)])
+    fast = apply_batch(factors if len(factors) > 1 else factors[0], rhos)
+    naive = np.stack([apply(full, rho) for rho in rhos])
+    assert np.abs(fast - naive).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 5, 16]), seed=st.integers(0, 2**32 - 1))
+def test_rank_one_coherence_matches_full_state(d, seed):
+    u = haar_unitary(d, np.random.default_rng(seed))
+    values = _sample_output_coherences(unitary_channel(u), 8, seed)
+    kets = haar_random_kets(d, 8, np.random.default_rng(seed)) @ u.T
+    expected = [c_l1(np.outer(ket, ket.conj())) for ket in kets]
+    assert np.abs(values - expected).max() < 1e-12
