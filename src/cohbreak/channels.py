@@ -226,30 +226,30 @@ def affine_from_kraus(channel: KrausChannel) -> QubitAffine:
     return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
 
+def _pauli_transfer(rep: QubitAffine) -> np.ndarray:
+    """Pauli transfer matrix R = [[1, 0], [shift, m]] acting on (1, r)."""
+    r = np.eye(4)
+    r[1:, 0] = rep.shift
+    r[1:, 1:] = rep.m
+    return r
+
+
 def affine_to_kraus(rep: QubitAffine) -> KrausChannel:
     """Promote an affine pair to a Kraus channel via its Choi matrix.
 
     The pair fills the Pauli transfer matrix R, so T = P R P^dag / 2.
     Raises NotPSDError when (m, shift) is not completely positive.
     """
-    r = np.eye(4)
-    r[1:, 0] = rep.shift
-    r[1:, 1:] = rep.m
-    t = _PAULI_VECS @ r @ _PAULI_VECS.conj().T / 2
+    t = _PAULI_VECS @ _pauli_transfer(rep) @ _PAULI_VECS.conj().T / 2
     return choi_to_kraus(ChoiMatrix(dim=2, matrix=_reshuffle(t, 2) / 2))
 
 
 def affine_iterate(rep: QubitAffine, n: int) -> QubitAffine:
-    """Affine pair of the n-th channel power: (M^n, sum_{k<n} M^k shift)."""
+    """Affine pair of the n-th channel power, read off R^n: (M^n, sum_{k<n} M^k shift)."""
     if n < 1:
         raise ParameterOutOfRangeError(f"need n >= 1, got {n}")
-    m_pow = np.linalg.matrix_power(rep.m, n)
-    acc = np.zeros(3)
-    m_k = np.eye(3)
-    for _ in range(n):
-        acc = acc + m_k @ rep.shift
-        m_k = m_k @ rep.m
-    return QubitAffine(m=m_pow, shift=acc)
+    r = np.linalg.matrix_power(_pauli_transfer(rep), n)
+    return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
 
 # --- constructors -----------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, choi_to_kraus, kraus_to_choi
+from .channels import KrausChannel, QubitAffine, _pauli_transfer, choi_to_kraus, kraus_to_choi
 from .errors import InconsistentVerdictsError
 from .linalg import generalized_gell_mann, partial_transpose
 
@@ -142,8 +142,7 @@ def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
     The x and y output components must vanish for every input, i.e. the
     first two rows of M and the first two shift components are zero.
     """
-    residual = max(float(np.abs(rep.m[:2, :]).max()), float(np.abs(rep.shift[:2]).max()))
-    return residual <= tol
+    return float(np.abs(_pauli_transfer(rep)[1:3]).max()) <= tol
 
 
 def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,8 +55,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
 
 
@@ -64,8 +65,8 @@ def _epsilon_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}: {exc}") from exc
-    if not values or any(e < 0 for e in values):
-        raise argparse.ArgumentTypeError("need a comma-separated list of epsilons >= 0")
+    if not values or not all(math.isfinite(e) and e >= 0 for e in values):
+        raise argparse.ArgumentTypeError("need a comma-separated list of finite epsilons >= 0")
     return values
 
 

@@ -10,7 +10,9 @@ KrausChannel tensor factors (left to right), applied leg by leg through each
 leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
 through its Kraus stack in one GEMM, w = K psi, and never build the d^4
 transfer matrix; a rank-1 channel gives c_l1 = (sum |w|)^2 - sum |w|^2
-directly. Samples run in chunks sized by the `_CHUNK_BYTES` byte budget.
+directly. Samples run in chunks sized so that everything a chunk holds at
+once (w, its conjugate and the d x d outputs) fits the `_CHUNK_BYTES` byte
+budget.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .linalg import trace_distance
 from .states import haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
-_CHUNK_BYTES = 32 * 2**20  # largest per-sample array of a chunk: w (m*d) or rho (d^2)
+# Bytes a chunk holds at once. A pure input to one m-operator factor holds
+# w = K psi and its conjugate (m*d entries each) and two d x d arrays.
+_CHUNK_BYTES = 32 * 2**20
 
 
 def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
@@ -37,10 +41,12 @@ def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
     """
     if d < 1:
         raise ParameterOutOfRangeError(f"need d >= 1, got {d}")
-    if epsilon < 0:
-        raise ParameterOutOfRangeError(f"need epsilon >= 0, got {epsilon}")
-    if eta_c <= 0 or eta_ch <= 0:
-        raise ParameterOutOfRangeError("Lipschitz and contraction factors must be positive")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
+    if not np.isfinite([eta_c, eta_ch]).all() or eta_c <= 0 or eta_ch <= 0:
+        raise ParameterOutOfRangeError(
+            "Lipschitz and contraction factors must be finite and positive"
+        )
     exponent = d * epsilon**2 / (18.0 * np.pi**3 * eta_c**2 * eta_ch**2 * np.log(2.0))
     return float(2.0 * np.exp(-exponent))
 
@@ -52,10 +58,10 @@ def corollary_bound(d: int, epsilon: float, eta_ch: float) -> float:
     """
     if d < 2:
         raise ParameterOutOfRangeError(f"need d >= 2, got {d}")
-    if epsilon < 0:
-        raise ParameterOutOfRangeError(f"need epsilon >= 0, got {epsilon}")
-    if eta_ch <= 0:
-        raise ParameterOutOfRangeError("contraction factor must be positive")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
+    if not np.isfinite(eta_ch) or eta_ch <= 0:
+        raise ParameterOutOfRangeError("contraction factor must be finite and positive")
     exponent = (d - 1.0) ** 2 * epsilon**2 / (18.0 * np.pi**3 * eta_ch**2 * d * np.log(2.0))
     return float(2.0 * np.exp(-exponent))
 
@@ -134,7 +140,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _chunk(entries: int) -> int:
-    """Samples per chunk when a sample's largest array has `entries` entries."""
+    """Samples per chunk when a sample holds `entries` complex entries at once."""
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
@@ -156,7 +162,7 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
         # Rank 1 (identity or unitary): c_l1 = (sum |w|)^2 - sum |w|^2.
         mags = np.abs(kets @ factors[0].kraus_ops[0].T)
         return mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
-    step = _chunk(d * max(d, factors[0].n_ops))
+    step = _chunk(2 * d * (factors[0].n_ops + d))
     out = np.empty(samples)
     for start in range(0, samples, step):
         out[start:start + step] = _c_l1_batch(_pure_outputs(factors, kets[start:start + step]))
@@ -297,7 +303,7 @@ def contraction_check(channel, samples: int, seed: int) -> float:
     d = product_dim(factors)
     kets = haar_random_kets(d, 2 * samples, _rng(seed))
     worst = 0.0
-    step = 2 * _chunk(2 * d * max(d, factors[0].n_ops))
+    step = 2 * _chunk(4 * d * (factors[0].n_ops + d))
     for start in range(0, 2 * samples, step):
         block = kets[start:start + step]
         rhos = np.einsum("bi,bj->bij", block, block.conj())

@@ -16,12 +16,12 @@ import numpy as np
 from .channels import (
     KrausChannel,
     QubitAffine,
-    affine_iterate,
+    _pauli_transfer,
     apply,
     choi_to_kraus,
     kraus_to_choi,
 )
-from .classifiers import DEFAULT_TOL, _unit_image_maxima, is_cbc_affine, is_incoherent_kraus
+from .classifiers import DEFAULT_TOL, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
     DimensionMismatchError,
@@ -30,8 +30,6 @@ from .errors import (
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
-from .linalg import HermitianBasis, generalized_gell_mann
-from .states import from_generalized_bloch, to_generalized_bloch
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -77,47 +75,43 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
     )
 
 
+def _first_breaking_power(t: np.ndarray, rows, cap: int, tol: float) -> IndexResult:
+    """Least n <= cap whose power t^n = t^(n-1) t has every entry of the
+    coherent output rows at most tol; the residual is their largest entry."""
+    residuals: list[float] = []
+    power = t
+    for n in range(1, cap + 1):
+        if n > 1:
+            power = power @ t
+        residuals.append(float(np.abs(power[rows]).max(initial=0.0)))
+        if residuals[-1] <= tol:
+            return IndexResult(value=n, cap=cap, residuals=tuple(residuals))
+    return IndexResult(value=None, cap=cap, residuals=tuple(residuals))
+
+
 def coherence_breaking_index(
     channel: KrausChannel, cap: int = DEFAULT_INDEX_CAP, tol: float = DEFAULT_TOL
 ) -> IndexResult:
     """Least n with an all-diagonal matrix-unit image for the n-th power.
 
-    The channel must certify incoherent. The n-th power is the transfer
-    matrix T^n = T^(n-1) T, and its residual is the largest off-diagonal
-    entry of any matrix-unit image, as in `is_cbc`. Exhausting the cap is a
-    result, not an error.
+    The channel must certify incoherent. The residual of T^n is the largest
+    off-diagonal entry of any matrix-unit image, as in `is_cbc`. Exhausting
+    the cap is a result, not an error.
     """
     if cap < 1:
         raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
     certify_incoherent(channel, tol)
-    residuals: list[float] = []
-    t = power = channel.transfer
-    for n in range(1, cap + 1):
-        if n > 1:
-            power = power @ t
-        residual = float(_unit_image_maxima(power, channel.dim)[0].max())
-        residuals.append(residual)
-        if residual <= tol:
-            return IndexResult(value=n, cap=cap, residuals=tuple(residuals))
-    return IndexResult(value=None, cap=cap, residuals=tuple(residuals))
+    off_diagonal = ~np.eye(channel.dim, dtype=bool).ravel()  # rows u*d + v with u != v
+    return _first_breaking_power(channel.transfer, off_diagonal, cap, tol)
 
 
 def coherence_breaking_index_affine(
     rep: QubitAffine, cap: int = DEFAULT_INDEX_CAP, tol: float = DEFAULT_TOL
 ) -> IndexResult:
-    """Breaking index computed entirely on the qubit affine pair."""
+    """Breaking index on the powers of the pair's Pauli transfer matrix, as in `is_cbc_affine`."""
     if cap < 1:
         raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
-    residuals: list[float] = []
-    for n in range(1, cap + 1):
-        power = affine_iterate(rep, n)
-        residual = max(
-            float(np.abs(power.m[:2, :]).max()), float(np.abs(power.shift[:2]).max())
-        )
-        residuals.append(residual)
-        if is_cbc_affine(power, tol):
-            return IndexResult(value=n, cap=cap, residuals=tuple(residuals))
-    return IndexResult(value=None, cap=cap, residuals=tuple(residuals))
+    return _first_breaking_power(_pauli_transfer(rep), slice(1, 3), cap, tol)
 
 
 @dataclass(frozen=True)
@@ -164,40 +158,38 @@ def evolve(
 
 @dataclass(frozen=True)
 class ProbeState:
-    """Unit-coherence companion of a state along its generalized-Bloch direction.
+    """Unit-coherence companion of a state along its traceless direction.
 
-    rho_P = I/d + (chi_P / 2) n . Lambda where n is the source direction and
-    chi_P = 1 / sum_r sqrt(n_{2r-1}^2 + n_{2r}^2) over the off-diagonal
-    generator pairs, which makes c_l1(rho_P) exactly 1. For strongly mixed
-    sources with a large diagonal direction component the probe may leave
-    the state set (an indefinite matrix); the factorization law is linear
-    and unaffected.
+    With H the Hermitian part of the source and rho_0 = H - (Tr H / d) I,
+    rho_P = I/d + rho_0 / c_l1(rho_0), so c_l1(rho_P) is exactly 1, and
+    chi_P = sqrt(2) ||rho_0||_F / c_l1(rho_0) is the length of rho_P's
+    generalized-Bloch vector. For strongly mixed sources with a large
+    diagonal component the probe may leave the state set (an indefinite
+    matrix); the factorization law is linear and unaffected.
     """
 
     state: np.ndarray
     chi_p: float
 
 
-def probe_state(state: np.ndarray, basis: HermitianBasis | None = None) -> ProbeState:
-    """Probe along the source's direction, normalized to unit coherence.
+def probe_state(state: np.ndarray) -> ProbeState:
+    """Probe along the source's traceless direction, normalized to unit coherence.
 
-    Raises IncoherentInputError when the source has no off-diagonal
-    component (chi_P would divide by zero).
+    Raises IncoherentInputError when the source has no traceless component
+    or no off-diagonal component (c_l1(rho_0) would divide by zero).
     """
-    state = np.asarray(state, dtype=complex)
-    if basis is None:
-        basis = generalized_gell_mann(state.shape[0])
-    coords = to_generalized_bloch(state, basis)
-    if coords.chi == 0.0 or coords.unit_dir is None:
+    h = np.asarray(state, dtype=complex)
+    h = (h + h.conj().T) / 2
+    d = h.shape[0]
+    rho_0 = h - np.trace(h).real / d * np.eye(d)
+    norm = float(np.linalg.norm(rho_0))
+    if norm == 0.0:
         raise IncoherentInputError("maximally mixed input has no direction")
-    n = coords.unit_dir
-    pair_sum = 0.0
-    for r in range(basis.n_offdiag_pairs):
-        pair_sum += float(np.hypot(n[2 * r], n[2 * r + 1]))
-    if pair_sum <= 0.0:
+    coherence = c_l1(rho_0)
+    if coherence <= 0.0:
         raise IncoherentInputError("input has no off-diagonal direction component")
-    chi_p = 1.0 / pair_sum
-    return ProbeState(state=from_generalized_bloch(chi_p * n, basis), chi_p=chi_p)
+    chi_p = 2.0**0.5 * norm / coherence
+    return ProbeState(state=np.eye(d) / d + rho_0 / coherence, chi_p=chi_p)
 
 
 class FactorizationResult(NamedTuple):

@@ -155,7 +155,6 @@ class HermitianBasis:
     come first in lexicographic order, each contributing its symmetric
     generator |j><k| + |k><j| immediately followed by its antisymmetric
     partner -i|j><k| + i|k><j|; the d-1 diagonal generators come last.
-    The probe-state construction in `dynamics` relies on this pairing.
     """
 
     dim: int

@@ -214,6 +214,22 @@ def test_concentrate_negative_seed_is_usage_error(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--channel", "identity", "--dim", "2", "--tol", "inf"],
+    ["index", "--channel", "identity", "--dim", "2", "--tol", "nan"],
+    ["classify", "--channel", "identity", "--dim", "2", "--tol", "nan"],
+    ["concentrate", "--dim", "8", "--samples", "50", "--seed", "1", "--eps", "nan,0.1"],
+    ["concentrate", "--dim", "8", "--samples", "50", "--seed", "1", "--eps", "inf"],
+    ["concentrate", "--dim", "8", "--samples", "50", "--seed", "1", "--eps", "0.1",
+     "--eta", "nan"],
+])
+def test_non_finite_numeric_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--nope"])

@@ -12,6 +12,7 @@ from cohbreak.channels import (
     haar_unitary,
     identity_channel,
     kron_channel,
+    partial_dephasing_channel,
     random_channel,
     unitary_channel,
 )
@@ -56,6 +57,16 @@ def test_levy_bound_validation():
         levy_bound(8, -0.1, 1.0, 1.0)
     with pytest.raises(ParameterOutOfRangeError):
         levy_bound(8, 0.1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bounds_reject_non_finite_parameters(bad):
+    for args in ((8, bad, 1.0, 1.0), (8, 0.1, bad, 1.0), (8, 0.1, 1.0, bad)):
+        with pytest.raises(ParameterOutOfRangeError):
+            levy_bound(*args)
+    for args in ((8, bad, 1.0), (8, 0.1, bad)):
+        with pytest.raises(ParameterOutOfRangeError):
+            corollary_bound(*args)
 
 
 def test_corollary_bound_at_zero_epsilon():
@@ -284,6 +295,18 @@ def test_identity_tails_below_informative_bound_at_d1024():
 
 def test_gad_product_tails_below_informative_bound_at_d1024(gad_product_1024):
     _assert_tails_within_bounds(gad_product_1024[0])
+
+
+def test_many_operator_channel_memory_is_bounded_by_the_chunk_budget():
+    # 65 Kraus operators at d = 64: w, its conjugate and the outputs of a
+    # chunk all count against the budget, not just the largest array.
+    tracemalloc.start()
+    try:
+        estimate_mean_coherence(partial_dephasing_channel(64, 0.5), samples=512, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _CHUNK_BYTES
 
 
 def test_gad_product_memory_is_bounded_by_the_chunk_budget(gad_product_1024):

@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohbreak.channels import (
     QubitAffine,
     affine_from_kraus,
+    affine_iterate,
     apply,
     cbc_from_povm,
     dephasing_channel,
@@ -16,7 +21,7 @@ from cohbreak.channels import (
     unitary_channel,
     y_to_x_channel,
 )
-from cohbreak.classifiers import is_cbc
+from cohbreak.classifiers import is_cbc, is_cbc_affine
 from cohbreak.coherence import c_l1
 from cohbreak.dynamics import (
     coherence_breaking_index,
@@ -33,7 +38,12 @@ from cohbreak.errors import (
     ParameterOutOfRangeError,
 )
 from cohbreak.linalg import SIGMA_X, generalized_gell_mann
-from cohbreak.states import from_bloch, maximally_coherent
+from cohbreak.states import (
+    from_bloch,
+    from_generalized_bloch,
+    maximally_coherent,
+    to_generalized_bloch,
+)
 from conftest import (
     random_density_matrix,
     rotated_dephasing_channel,
@@ -99,6 +109,33 @@ def test_affine_and_kraus_indices_agree():
             affine_from_kraus(channel), cap=32
         )
         assert kraus_result.value == affine_result.value
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.lists(_UNIT, min_size=9, max_size=9), shift=st.lists(_UNIT, min_size=3, max_size=3))
+def test_affine_index_residuals_match_affine_iterate(m, shift):
+    rep = QubitAffine(m=np.reshape(m, (3, 3)), shift=np.array(shift))
+    result = coherence_breaking_index_affine(rep, cap=8)
+    for n, residual in enumerate(result.residuals, start=1):
+        power = affine_iterate(rep, n)
+        expected = max(np.abs(power.m[:2]).max(), np.abs(power.shift[:2]).max())
+        scale = max(1.0, np.abs(power.m).max(), np.abs(power.shift).max())
+        assert abs(residual - expected) <= 1e-12 * scale
+    if not result.exceeded:
+        assert is_cbc_affine(affine_iterate(rep, result.value))
+
+
+def test_affine_index_at_large_cap_is_fast():
+    start = time.perf_counter()
+    result = coherence_breaking_index_affine(affine_from_kraus(gad_channel(0.999, 0.3)), cap=2000)
+    elapsed = time.perf_counter() - start
+    assert result.exceeded
+    # The x and y rows of the n-th power are sqrt(p)^n on the diagonal.
+    assert abs(result.residuals[-1] - 0.999**1000) < 1e-9
+    assert elapsed < 0.5
 
 
 def test_evolve_reproduces_sudden_death_line():
@@ -189,11 +226,33 @@ def test_probe_of_x_axis_state_is_plus():
 def test_probe_has_unit_coherence_in_higher_dimensions():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4):
-        basis = generalized_gell_mann(d)
         for _ in range(10):
             rho = random_density_matrix(d, rng)
-            probe = probe_state(rho, basis)
+            probe = probe_state(rho)
             assert abs(c_l1(probe.state) - 1.0) < 1e-9
+
+
+def _gell_mann_probe(state):
+    """The probe built in generalized Gell-Mann coordinates: unit direction n,
+    chi_P = 1 / sum_r hypot(n_2r, n_2r+1) over the off-diagonal pairs."""
+    basis = generalized_gell_mann(state.shape[0])
+    n = to_generalized_bloch(state, basis).unit_dir
+    pair_sum = sum(np.hypot(n[2 * r], n[2 * r + 1]) for r in range(basis.n_offdiag_pairs))
+    return from_generalized_bloch(n / pair_sum, basis), 1.0 / pair_sum
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_form_probe_matches_gell_mann_construction(d):
+    rng = np.random.default_rng(70 + d)
+    for _ in range(10):
+        # Density matrices and non-Hermitian matrices: the coordinates see
+        # only the Hermitian, traceless part.
+        for state in (random_density_matrix(d, rng),
+                      rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+            expected_state, expected_chi = _gell_mann_probe(state)
+            probe = probe_state(state)
+            assert np.abs(probe.state - expected_state).max() < 1e-12
+            assert abs(probe.chi_p - expected_chi) < 1e-12
 
 
 def test_probe_rejects_incoherent_input():
@@ -259,6 +318,17 @@ def test_factorization_rejects_bad_inputs():
         factorization_check(np.diag([0.3, 0.7]).astype(complex), dephasing_channel(2))
     with pytest.raises(DimensionMismatchError):
         factorization_check(np.eye(3) / 3, dephasing_channel(2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_factorization_law_holds_for_incoherent_channels(d, seed):
+    rng = np.random.default_rng(seed)
+    channel = random_incoherent_channel(d, rng)
+    rho = random_density_matrix(d, rng)
+    result = factorization_check(rho, channel)
+    assert result.certification == "incoherent-kraus"
+    assert result.residual < 1e-10
 
 
 def test_strobe_factorization_along_trajectory():
