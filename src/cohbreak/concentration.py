@@ -10,9 +10,9 @@ KrausChannel tensor factors (left to right), applied leg by leg through each
 leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
 through its Kraus stack in one GEMM, w = K psi, and never build the d^4
 transfer matrix; a rank-1 channel gives c_l1 = (sum |w|)^2 - sum |w|^2
-directly. Samples run in chunks sized so that everything a chunk holds at
-once (w, its conjugate and the d x d outputs) fits the `_CHUNK_BYTES` byte
-budget.
+directly; a product forms |psi><psi| in leg-pair order and runs the legs
+in two alternating buffers. Samples run in chunks sized so that everything
+a chunk holds at once fits the `_CHUNK_BYTES` byte budget.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .linalg import trace_distance
 from .states import haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
-# Bytes a chunk holds at once. A pure input to one m-operator factor holds
-# w = K psi and its conjugate (m*d entries each) and two d x d arrays.
+# Bytes a chunk holds at once; `_sample_entries` counts a sample's share.
 _CHUNK_BYTES = 32 * 2**20
 
 
@@ -117,14 +116,30 @@ def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
         raise ParameterOutOfRangeError(
             f"batch of shape {rhos.shape} does not match total dimension {d}"
         )
-    b, n = len(rhos), len(dims)
-    order = [0] + [ax for k in range(1, n + 1) for ax in (k, n + k)]
-    x = rhos.reshape(b, *dims, *dims).transpose(order).reshape(b, d * d)
+    pairs = rhos.reshape(len(rhos), *dims, *dims).transpose(_pair_order(len(dims)))
+    return _apply_legs(factors, pairs.copy())  # a copy: _apply_legs overwrites it
+
+
+def _pair_order(n: int) -> list[int]:
+    """Axes that take (b, i1..in, j1..jn) to (b, i1, j1, ..., in, jn)."""
+    return [0] + [ax for k in range(1, n + 1) for ax in (k, n + k)]
+
+
+def _apply_legs(factors: list[KrausChannel], pairs: np.ndarray) -> np.ndarray:
+    """`apply_batch` on a contiguous (b, d1, d1, d2, d2, ...) batch, which it
+    overwrites: the legs and the final reorder alternate between it and one
+    spare buffer, so a sample holds two d x d arrays here."""
+    dims = [f.dim for f in factors]
+    b, d = len(pairs), int(np.prod(dims))
+    x, spare = pairs.reshape(b, d * d), np.empty((b, d * d), dtype=complex)
     for f in factors:
         a = f.dim**2
-        x = (x.reshape(b, a, d * d // a).transpose(0, 2, 1) @ f.transfer.T).reshape(b, d * d)
-    pairs = x.reshape(b, *(dk for dk in dims for _ in range(2)))
-    return pairs.transpose(np.argsort(order)).reshape(b, d, d)
+        np.matmul(x.reshape(b, a, d * d // a).transpose(0, 2, 1), f.transfer.T,
+                  out=spare.reshape(b, d * d // a, a))
+        x, spare = spare, x
+    out = spare.reshape(b, *dims, *dims)
+    out[...] = x.reshape(pairs.shape).transpose(np.argsort(_pair_order(len(dims))))
+    return out.reshape(b, d, d)
 
 
 def _c_l1_batch(rhos: np.ndarray) -> np.ndarray:
@@ -144,13 +159,25 @@ def _chunk(entries: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * entries))
 
 
+def _sample_entries(factors: list[KrausChannel], d: int) -> int:
+    """Complex entries a pure sample holds at once: w, its conjugate and two
+    d x d arrays for one factor, at most three d x d arrays for a product."""
+    return 3 * d * d if len(factors) > 1 else 2 * d * (factors[0].n_ops + d)
+
+
 def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
-    """Phi(|psi><psi|) per ket; a single factor goes through W = kets K^T."""
+    """Phi(|psi><psi|) per ket; a single factor goes through W = kets K^T, a
+    product builds |psi><psi| directly in the leg-pair order of `_apply_legs`."""
+    b = len(kets)
     if len(factors) > 1:
-        return apply_batch(factors, np.einsum("bi,bj->bij", kets, kets.conj()))
+        dims, n = [f.dim for f in factors], len(factors)
+        pairs = np.einsum(kets.reshape(b, *dims), [0, *range(1, n + 1)],
+                          kets.conj().reshape(b, *dims), [0, *range(n + 1, 2 * n + 1)],
+                          _pair_order(n))
+        return _apply_legs(factors, pairs)
     kstack = np.stack(factors[0].kraus_ops)
     m, d, _ = kstack.shape
-    w = (kets @ kstack.reshape(m * d, d).T).reshape(-1, m, d)
+    w = (kets @ kstack.reshape(m * d, d).T).reshape(b, m, d)
     return w.transpose(0, 2, 1) @ w.conj()
 
 
@@ -162,7 +189,7 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
         # Rank 1 (identity or unitary): c_l1 = (sum |w|)^2 - sum |w|^2.
         mags = np.abs(kets @ factors[0].kraus_ops[0].T)
         return mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
-    step = _chunk(2 * d * (factors[0].n_ops + d))
+    step = _chunk(_sample_entries(factors, d))
     out = np.empty(samples)
     for start in range(0, samples, step):
         out[start:start + step] = _c_l1_batch(_pure_outputs(factors, kets[start:start + step]))
@@ -303,7 +330,7 @@ def contraction_check(channel, samples: int, seed: int) -> float:
     d = product_dim(factors)
     kets = haar_random_kets(d, 2 * samples, _rng(seed))
     worst = 0.0
-    step = 2 * _chunk(4 * d * (factors[0].n_ops + d))
+    step = 2 * _chunk(2 * _sample_entries(factors, d))
     for start in range(0, 2 * samples, step):
         block = kets[start:start + step]
         rhos = np.einsum("bi,bj->bij", block, block.conj())

@@ -30,6 +30,7 @@ from .errors import (
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
+from .linalg import require_finite
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -145,6 +146,7 @@ def evolve(
         raise DimensionMismatchError(
             f"state shape {state.shape} does not match channel dimension {channel.dim}"
         )
+    require_finite(state, "state")
     values = [c_l1(state)]
     rho = state
     for _ in range(steps):
@@ -175,10 +177,12 @@ class ProbeState:
 def probe_state(state: np.ndarray) -> ProbeState:
     """Probe along the source's traceless direction, normalized to unit coherence.
 
-    Raises IncoherentInputError when the source has no traceless component
-    or no off-diagonal component (c_l1(rho_0) would divide by zero).
+    Raises NonFiniteError on a NaN or infinite entry, and IncoherentInputError
+    when the source has no traceless component or no off-diagonal component
+    (c_l1(rho_0) would divide by zero).
     """
     h = np.asarray(state, dtype=complex)
+    require_finite(h, "state")
     h = (h + h.conj().T) / 2
     d = h.shape[0]
     rho_0 = h - np.trace(h).real / d * np.eye(d)
@@ -215,6 +219,7 @@ def factorization_check(
         raise DimensionMismatchError(
             f"state shape {state.shape} does not match channel dimension {channel.dim}"
         )
+    require_finite(state, "state")
     try:
         certify_incoherent(channel, tol)
         certification = "incoherent-kraus"

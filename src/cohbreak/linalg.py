@@ -22,7 +22,6 @@ from .errors import (
 
 # Numerical tolerances (double precision, dimensions up to a few hundred).
 TOL_HERM = 1e-9    # max |A_ij - conj(A_ji)| accepted as Hermitian
-TOL_EIG = 1e-9     # eigendecomposition reconstruction bound
 TOL_PSD = 1e-9     # eigenvalues >= -TOL_PSD count as nonnegative
 TOL_TRACE = 1e-10  # unit-trace slack for density matrices
 

@@ -17,7 +17,7 @@ from .errors import (
     InvalidDimensionError,
     NotDensityMatrixError,
 )
-from .linalg import PAULIS, HermitianBasis, assert_density_matrix
+from .linalg import PAULIS, HermitianBasis, assert_density_matrix, require_finite
 
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
@@ -25,6 +25,7 @@ def from_bloch(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise DimensionMismatchError(f"Bloch vector must have 3 components, got {r.shape}")
+    require_finite(r, "Bloch vector")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-12:
         raise BlochOutOfBallError(f"|r| = {norm} exceeds 1")
@@ -56,11 +57,6 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"need {d} phases, got shape {thetas.shape}")
     psi = np.exp(1j * thetas) / np.sqrt(d)
     return np.outer(psi, psi.conj())
-
-
-def worker_seed(seed: int, worker: int) -> int:
-    """Sub-seed for parallel sampling workers: seed xor worker index."""
-    return int(seed) ^ int(worker)
 
 
 def haar_random_kets(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

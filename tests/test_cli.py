@@ -1,13 +1,26 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohbreak.channels import channel_to_json, dephasing_channel, y_to_x_channel
+from cohbreak.channels import (
+    channel_to_json,
+    dephasing_channel,
+    identity_channel,
+    partial_dephasing_channel,
+    y_to_x_channel,
+)
 from cohbreak.classifiers import ClassificationReport
 from cohbreak.cli import main
 from cohbreak.concentration import ConcentrationReport
-from cohbreak.states import state_to_json
+from cohbreak.states import complex_matrix_to_json, state_to_json
 from conftest import rotated_dephasing_channel
 
 
@@ -234,3 +247,148 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--nope"])
     assert exc.value.code == 2
+
+
+GOOD_KRAUS = channel_to_json(dephasing_channel(2))
+
+
+@pytest.mark.parametrize("flag, obj", [
+    ("--channel", {**GOOD_KRAUS, "dim": None}),
+    ("--channel", {**GOOD_KRAUS, "dim": [2]}),
+    ("--channel", {"gad": {"p": None, "t": 0.5}}),
+    ("--channel", {"kraus": 5}),
+    ("--state", {"bloch": None}),
+    ("--state", {"bloch": [0.1, 0.2]}),
+    ("--state", {**state_to_json(np.eye(2) / 2), "dim": None}),
+    ("--state", {"bloch": [float("nan"), 0.0, 0.0]}),
+], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
+        "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan"])
+def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(obj))
+    inputs = {"--channel": str(files["gad"]), "--state": str(files["state"]), flag: str(path)}
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--channel", inputs["--channel"], "--state", inputs["--state"],
+              "--steps", "2"])
+    assert exc.value.code == 2
+    assert f"cohbreak: error: {path}" in capsys.readouterr().err
+
+
+def test_index_text_format_writes_out_file(files, capsys):
+    out = files["tmp"] / "index.txt"
+    assert main(["index", "--channel", str(files["example1"]), "--out", str(out)]) == 0
+    assert out.read_text() == "2\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--format", "json"],
+    ["evolve", "--state", "state", "--steps", "1", "--format", "csv"],
+], ids=["classify", "evolve"])
+def test_format_flag_is_usage_error_where_there_is_one_format(files, capsys, argv):
+    argv = [str(files[a]) if a in files else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--channel", str(files["gad"])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_usage_error(files, capsys):
+    out = files["tmp"] / "missing-dir" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--channel", "identity", "--dim", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+# --- fuzz: generated channel and state files through the whole CLI ----------
+
+NUMBERS = st.one_of(
+    st.floats(-2, 2),
+    st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, 10**400]),
+    st.integers(-2, 5),
+)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), NUMBERS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6,
+)
+ENTRY = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), JUNK)
+DIM = st.one_of(st.integers(1, 4), JUNK)
+
+
+@st.composite
+def matrices(draw):
+    d = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(ENTRY, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@st.composite
+def mutated(draw, base):
+    """A copy of `base` with one value, at any depth, replaced by junk."""
+    obj = copy.deepcopy(base)
+    node = obj
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(st.one_of(JUNK, DIM))
+        return obj
+
+
+GOOD_CHANNELS = [
+    channel_to_json(identity_channel(3)),
+    channel_to_json(partial_dephasing_channel(4, 0.3)),
+    channel_to_json(y_to_x_channel(0.5)),
+    channel_to_json(rotated_dephasing_channel()),
+    {"gad": {"p": 0.7, "t": 1.0}},
+    {"affine": {"m": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.25]], "n": [0, 0, 0.1]}},
+    {"povm": [complex_matrix_to_json(np.diag([1.0, 0.0])),
+              complex_matrix_to_json(np.diag([0.0, 1.0]))]},
+]
+GOOD_STATES = [{"bloch": [0.3, 0.5, 0.2]}] + [
+    state_to_json(np.full((d, d), 1.0 / d)) for d in (2, 3, 4)
+]
+# Good files are drawn often enough that every exit code shows up.
+CHANNELS = st.sampled_from([
+    *[st.sampled_from(GOOD_CHANNELS)] * 4,
+    st.sampled_from(GOOD_CHANNELS).flatmap(mutated),
+    st.fixed_dictionaries({"dim": DIM, "kraus": st.lists(matrices(), max_size=3)}),
+    st.fixed_dictionaries({"affine": st.fixed_dictionaries({"m": JUNK, "n": JUNK})}),
+    st.fixed_dictionaries({"gad": st.fixed_dictionaries({"p": NUMBERS, "t": JUNK})}),
+    st.fixed_dictionaries({"povm": st.lists(matrices(), max_size=3)}),
+    JUNK,
+]).flatmap(lambda strategy: strategy)
+STATES = st.sampled_from([
+    *[st.sampled_from(GOOD_STATES)] * 3,
+    st.sampled_from(GOOD_STATES).flatmap(mutated),
+    st.fixed_dictionaries({"bloch": st.one_of(st.lists(NUMBERS, max_size=4), JUNK)}),
+    st.fixed_dictionaries({"dim": DIM, "matrix": matrices()}),
+    JUNK,
+]).flatmap(lambda strategy: strategy)
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["classify", "index", "evolve"]),
+       channel=CHANNELS, state=STATES)
+def test_fuzzed_input_files_exit_cleanly(tmp_path_factory, command, channel, state):
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--channel", str(work / "channel.json")]
+    (work / "channel.json").write_text(json.dumps(channel))
+    if command == "evolve":
+        (work / "state.json").write_text(json.dumps(state))
+        argv += ["--state", str(work / "state.json"), "--steps", "3"]
+    elif command == "index":
+        argv += ["--cap", "8"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue())

@@ -34,6 +34,7 @@ from cohbreak.errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     IncoherentInputError,
+    NonFiniteError,
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
@@ -318,6 +319,19 @@ def test_factorization_rejects_bad_inputs():
         factorization_check(np.diag([0.3, 0.7]).astype(complex), dephasing_channel(2))
     with pytest.raises(DimensionMismatchError):
         factorization_check(np.eye(3) / 3, dephasing_channel(2))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    probe_state,
+    lambda state: factorization_check(state, partial_dephasing_channel(2, 0.4)),
+    lambda state: evolve(state, partial_dephasing_channel(2, 0.4), steps=3),
+], ids=["probe_state", "factorization_check", "evolve"])
+def test_non_finite_state_is_rejected(call, entry):
+    state = FIG2_STATE.copy()
+    state[0, 1] = entry
+    with pytest.raises(NonFiniteError):
+        call(state)
 
 
 @settings(max_examples=25, deadline=None)

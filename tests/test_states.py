@@ -7,6 +7,7 @@ from cohbreak.errors import (
     BlochOutOfBallError,
     DimensionMismatchError,
     InvalidDimensionError,
+    NonFiniteError,
 )
 from cohbreak.linalg import generalized_gell_mann
 from cohbreak.states import (
@@ -19,7 +20,6 @@ from cohbreak.states import (
     state_from_json,
     state_to_json,
     to_generalized_bloch,
-    worker_seed,
 )
 from conftest import random_density_matrix
 
@@ -41,6 +41,12 @@ def test_from_bloch_round_trips_coordinates():
 def test_from_bloch_rejects_long_vectors():
     with pytest.raises(BlochOutOfBallError):
         from_bloch(np.array([0.8, 0.8, 0.8]))
+
+
+@pytest.mark.parametrize("r", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+def test_from_bloch_rejects_non_finite_components(r):
+    with pytest.raises(NonFiniteError):
+        from_bloch(np.array(r))
 
 
 def test_generalized_bloch_of_maximally_mixed():
@@ -152,11 +158,6 @@ def test_haar_distribution_is_unitarily_invariant():
     stat = np.abs(kets[:, 0]) ** 2
     stat_rotated = np.abs((kets @ u.T)[:, 0]) ** 2
     assert abs(stat.mean() - stat_rotated.mean()) < 0.02
-
-
-def test_worker_seed_is_xor():
-    assert worker_seed(12, 0) == 12
-    assert worker_seed(12, 5) == 12 ^ 5
 
 
 def test_state_json_round_trip():
