@@ -32,7 +32,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .linalg import PAULIS, TOL_HERM, TOL_PSD, hermiticity_defect, partial_trace, require_finite
-from .states import complex_matrix_from_json, complex_matrix_to_json
+from .states import complex_matrix_from_json, complex_matrix_to_json, json_parser
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
 RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
@@ -459,6 +459,7 @@ def channel_to_json(channel: KrausChannel) -> dict:
     }
 
 
+@json_parser
 def channel_from_json(obj: dict) -> KrausChannel:
     """Parse the JSON channel format, dispatching on the single form key."""
     if not isinstance(obj, dict):

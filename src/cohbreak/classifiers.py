@@ -9,11 +9,12 @@ Classes and their decision procedures:
 * CBC / DIO -- decomposition-independent masked maxima over the images of
   the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
   the columns of the transfer matrix T.
-* QC -- the outputs of a Hermitian operator basis must pairwise commute;
-  commuting Hermitian outputs are simultaneously diagonalizable, which is
-  exactly the measure-and-prepare form with rank-one projectors in some
-  orthonormal basis. The outputs are one product of T with the vectorized
-  Gell-Mann basis.
+* QC -- the outputs of a Hermitian basis must commute: the measure-and-
+  prepare form with rank-one projectors in some orthonormal basis.
+  Commuting Hermitian matrices share the eigenbasis of a generic member, so
+  the outputs are rotated into the eigenbasis of one seeded output Phi(X)
+  and must come out diagonal: O(d^5), with the outputs read off columns of
+  T. The O(d^7) pairwise commutator test runs only for a residual near tol.
 * entanglement breaking -- PPT test on the Choi matrix, a reshuffle of T.
   For qubits PPT is equivalent to separability, so the verdict is decisive;
   for d >= 3 a positive partial transpose is only necessary and the verdict
@@ -29,15 +30,17 @@ raises InconsistentVerdictsError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .channels import KrausChannel, QubitAffine, _pauli_transfer, choi_to_kraus, kraus_to_choi
 from .errors import InconsistentVerdictsError
-from .linalg import generalized_gell_mann, partial_transpose
+from .linalg import generalized_gell_mann
 
 DEFAULT_TOL = 1e-8
+_QC_BAND = 1e3  # QC residuals within this factor of tol go to the pairwise test
 
 
 def matrix_unit_images(channel: KrausChannel) -> np.ndarray:
@@ -155,22 +158,49 @@ def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     return _unit_verdict(np.where(np.eye(channel.dim, dtype=bool), off, on), tol)
 
 
-def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
-    """Quantum-classical test: channel outputs commute pairwise.
+@lru_cache(maxsize=None)
+def _qc_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the outputs of the Gell-Mann generators and the identity read off
+    T: the unit pairs (|j><k|, |k><j|), j < k, the diagonal units' weights in
+    each diagonal input, and the seeded weights of X, which picks the basis."""
+    j, k = np.triu_indices(d, 1)
+    diagonal = generalized_gell_mann(d).generators[d * d - d:] + (np.eye(d),)
+    return (np.stack([j * d + k, k * d + j]), np.stack([g.diagonal().real for g in diagonal], 1),
+            np.random.default_rng(d).normal(size=d * d))
 
-    Evaluates Phi on the su(d) generators plus the identity and reports the
-    largest commutator entry; simultaneous diagonalizability of the outputs
-    is equivalent to the measure-and-prepare form in some output basis.
+
+def _max_commutator(x: np.ndarray, outputs: np.ndarray) -> float:
+    """Largest |[x, y]| entry over the matrices y = outputs[:, :, b]."""
+    xy = (x @ outputs.reshape(len(x), -1)).reshape(outputs.shape)
+    return float(np.abs(xy - x.T @ outputs).max())
+
+
+def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
+    """Quantum-classical test: the outputs Phi(G) of the Gell-Mann basis commute.
+
+    The residual is the largest off-diagonal entry of V^dag Phi(G) V, V the
+    eigenbasis of Phi(X): "yes" below tol / _QC_BAND, "no" above
+    tol * _QC_BAND, and in between the exact test that every pair commutes
+    within tol decides. ``max_commutator`` is the largest commutator entry of
+    the worst-residual output with every output (of every pair, if exact).
     """
-    d = channel.dim
-    basis = np.stack(generalized_gell_mann(d).generators + (np.eye(d, dtype=complex),))
-    outputs = (channel.transfer @ basis.reshape(-1, d * d).T).T.reshape(-1, d, d)
-    worst = 0.0
-    for a in range(len(outputs) - 1):
-        later = outputs[a + 1:]
-        comm = outputs[a] @ later - later @ outputs[a]
-        worst = max(worst, float(np.abs(comm).max()))
-    return worst <= tol, {"max_commutator": worst}
+    d, t = channel.dim, channel.transfer
+    pairs, mix, weights = _qc_inputs(d)
+    above, below = t[:, pairs[0]], t[:, pairs[1]]  # Phi(|j><k|), Phi(|k><j|)
+    outputs = np.concatenate([above + below, 1j * (below - above), t[:, ::d + 1] @ mix],
+                             axis=1).reshape(d, d, d * d)  # [:, :, b] = Phi(G_b)
+    _, v = np.linalg.eigh(outputs @ weights)
+    off = np.abs(v.T @ (v.conj().T @ outputs.reshape(d, -1)).reshape(outputs.shape))
+    off[np.arange(d), np.arange(d)] = 0.0
+    per_output = off.max(axis=(0, 1))
+    worst = int(np.argmax(per_output))
+    residual = float(per_output[worst])
+    if tol / _QC_BAND <= residual <= tol * _QC_BAND:
+        commutator = max(_max_commutator(outputs[:, :, b], outputs[:, :, b + 1:])
+                         for b in range(d * d - 1))
+        return commutator <= tol, {"max_commutator": commutator, "residual": residual}
+    commutator = _max_commutator(outputs[:, :, worst], outputs)
+    return residual < tol, {"max_commutator": commutator, "residual": residual}
 
 
 def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -180,15 +210,13 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     and the minimum partial-transpose eigenvalue as witness. For qubits PPT
     decides entanglement breaking; for d >= 3 it is only a no-certificate.
     """
-    choi = kraus_to_choi(channel)
-    pt = partial_transpose(choi.matrix, channel.dim)
+    d = channel.dim  # PT[(u, v), (r, s)] = Choi[(u, s), (r, v)] = T[(u, r), (s, v)] / d
+    pt = channel.transfer.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d) / d
     min_eig = float(np.linalg.eigvalsh(pt).min())
     witness = {"min_pt_eigenvalue": min_eig}
     if min_eig < -tol:
         return "no", witness
-    if channel.dim == 2:
-        return "yes", witness
-    return "inconclusive", witness
+    return "yes" if d == 2 else "inconclusive", witness
 
 
 @dataclass
@@ -205,19 +233,12 @@ class ClassificationReport:
     evidence: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "verdicts": dict(self.verdicts),
-            "evidence": {k: dict(v) for k, v in self.evidence.items()},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
-        return cls(
-            tolerance=float(data["tolerance"]),
-            verdicts=dict(data["verdicts"]),
-            evidence={k: dict(v) for k, v in data["evidence"].items()},
-        )
+        return cls(float(data["tolerance"]), dict(data["verdicts"]),
+                   {k: dict(v) for k, v in data["evidence"].items()})
 
 
 _PATTERN_PREDICATES = {
@@ -250,17 +271,9 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
         report.verdicts[name] = "yes" if ok else "no"
         report.evidence[name] = witness
 
-    cbc_ok, cbc_witness = is_cbc(channel, tol)
-    report.verdicts["cbc"] = "yes" if cbc_ok else "no"
-    report.evidence["cbc"] = cbc_witness
-
-    dio_ok, dio_witness = is_dio(channel, tol)
-    report.verdicts["dio"] = "yes" if dio_ok else "no"
-    report.evidence["dio"] = dio_witness
-
-    qc_ok, qc_witness = is_qc(channel, tol)
-    report.verdicts["qc"] = "yes" if qc_ok else "no"
-    report.evidence["qc"] = qc_witness
+    for name, predicate in (("cbc", is_cbc), ("dio", is_dio), ("qc", is_qc)):
+        ok, report.evidence[name] = predicate(channel, tol)
+        report.verdicts[name] = "yes" if ok else "no"
 
     eb_verdict, eb_witness = is_entanglement_breaking(channel, tol)
     report.verdicts["entanglement_breaking"] = eb_verdict
@@ -269,12 +282,12 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
     # A breaking channel admits the selective measure-and-prepare form, so
     # CBC membership upgrades the pattern verdicts even when neither tested
     # decomposition exposes the pattern.
-    if cbc_ok:
+    if report.verdicts["cbc"] == "yes":
         for name in ("incoherent", "scbc"):
             if report.verdicts[name] == "no":
                 report.verdicts[name] = "yes"
                 report.evidence[name] = {"decomposition": "via-cbc",
-                                         "residual": cbc_witness["residual"]}
+                                         "residual": report.evidence["cbc"]["residual"]}
 
     _assert_consistency(report)
     return report

@@ -9,11 +9,11 @@ Subcommands:
 
 Each run parses the flags, loads the input files, computes, and writes to
 stdout or to ``--out PATH`` (``evolve`` puts its sidecar at PATH with the
-suffix ``.json``). Exit codes: 0 success, 2 usage or malformed input (an
-input file that cannot be read or parsed is named in the message), 3 domain
-error (e.g. a channel that cannot be certified incoherent, or mismatched
-dimensions). All randomness is seeded explicitly so outputs are
-byte-reproducible.
+suffix ``.json``, so PATH must not end in ``.json``). Exit codes: 0
+success, 2 usage or malformed input (an input file that cannot be read or
+parsed is named in the message), 3 domain error (e.g. a channel that
+cannot be certified incoherent, or mismatched dimensions). All randomness
+is seeded explicitly so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -192,22 +192,26 @@ def _load(args) -> list:
             inputs.append(state_from_json(_read_json(path)))
     except json.JSONDecodeError as exc:
         PARSER.error(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
-    except (OSError, ValueError, TypeError, OverflowError, CohbreakError) as exc:
+    except (OSError, ValueError, CohbreakError) as exc:
         PARSER.error(f"{path}: {exc}")
     return inputs
 
 
 def _write(texts: dict[str, str], out: str | None) -> None:
-    """Every text to stdout, or to the --out path with the text's suffix."""
-    for suffix, text in texts.items():
-        if out is None or out == "-":
-            sys.stdout.write(text)
-            continue
-        try:
-            path = Path(out).with_suffix(suffix) if suffix else Path(out)
+    """Every text to stdout, or to the --out path with the text's suffix;
+    two texts on one path are a usage error, with nothing written."""
+    if out is None or out == "-":
+        sys.stdout.write("".join(texts.values()))
+        return
+    try:
+        paths = [Path(out).with_suffix(suffix) if suffix else Path(out) for suffix in texts]
+        if len(set(paths)) < len(paths):
+            PARSER.error(f"--out {out} would hold two outputs; give a path whose suffix "
+                         f"is not {' or '.join(suffix for suffix in texts if suffix)}")
+        for path, text in zip(paths, texts.values()):
             path.write_text(text, encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            PARSER.error(f"cannot write {out}: {exc}")
+    except (OSError, ValueError) as exc:
+        PARSER.error(f"cannot write {out}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,13 +61,8 @@ def hermitian_eigendecomposition(
     return w, v
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """||A||_1 = sum |eigenvalues| for Hermitian A."""
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """||rho - sigma||_1 = Tr sqrt((rho-sigma)^2), in [0, 2] for states.
+    """||rho - sigma||_1 = sum |eig(rho - sigma)|, in [0, 2] for states.
 
     Note there is no factor 1/2: orthogonal pure states are at distance 2,
     and for qubits the value equals the Euclidean Bloch-vector distance.
@@ -76,7 +71,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    return trace_norm(rho - sigma)
+    return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
 def density_eigenvalues(rho: np.ndarray) -> np.ndarray:

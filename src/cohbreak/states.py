@@ -7,6 +7,7 @@ Haar-random pure states, and the JSON wire format for states. The reference
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,18 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
 
 
+def json_parser(parse):
+    """Re-raise a conversion's TypeError or OverflowError as ValueError."""
+    @functools.wraps(parse)
+    def wrapped(obj):
+        try:
+            return parse(obj)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(str(exc)) from exc
+    return wrapped
+
+
+@json_parser
 def complex_matrix_from_json(data: list) -> np.ndarray:
     try:
         return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
@@ -148,6 +161,7 @@ def state_to_json(rho: np.ndarray) -> dict:
     return {"dim": rho.shape[0], "matrix": complex_matrix_to_json(rho)}
 
 
+@json_parser
 def state_from_json(obj: dict) -> np.ndarray:
     """Parse the JSON state format; validates the result is a density matrix."""
     if not isinstance(obj, dict):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cohbreak.channels import (
     KrausChannel,
@@ -26,7 +28,14 @@ from cohbreak.channels import (
 )
 from cohbreak.coherence import is_incoherent_state
 from cohbreak.channels import apply
+from cohbreak.linalg import generalized_gell_mann
 from cohbreak.states import maximally_coherent
+
+# With CI set (GitHub Actions sets it), property tests draw their examples
+# from a fixed seed, so a failure there replays locally with CI=1.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -102,6 +111,18 @@ def cbc_by_phase_sweep(
         if not is_incoherent_state(apply(channel, maximally_coherent(d, thetas)), tol):
             return False
     return True
+
+
+def pairwise_commutator_oracle(channel: KrausChannel) -> float:
+    """Largest commutator entry over every pair of outputs of the Gell-Mann
+    generators and the identity, each output summed over the Kraus operators:
+    the exhaustive O(d^7) quantum-classical test."""
+    d = channel.dim
+    inputs = generalized_gell_mann(d).generators + (np.eye(d, dtype=complex),)
+    ks = np.stack(channel.kraus_ops)
+    outputs = np.stack([(ks @ x @ ks.conj().transpose(0, 2, 1)).sum(axis=0) for x in inputs])
+    return max(float(np.abs(a @ outputs[k + 1:] - outputs[k + 1:] @ a).max())
+               for k, a in enumerate(outputs[:-1]))
 
 
 def second_example_affine(alpha: float = 0.4, beta: float = 0.25, nz: float = 0.2):

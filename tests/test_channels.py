@@ -487,6 +487,22 @@ def test_channel_json_dispatch_errors():
         channel_from_json({"affine": {"m": [[1.0]]}})
 
 
+@pytest.mark.parametrize("obj", [
+    {**channel_to_json(dephasing_channel(2)), "dim": None},
+    {**channel_to_json(dephasing_channel(2)), "dim": float("inf")},
+    {"kraus": 5},
+    {"kraus": [[[[10**400, 0.0]]]]},
+    {"gad": {"p": None, "t": 0.5}},
+    {"gad": {"p": 10**400, "t": 0.5}},
+    {"gad": 3},
+    {"povm": [[[[1.0, None]]]]},
+], ids=["dim-null", "dim-infinity", "kraus-int", "entry-overflow", "gad-p-null",
+        "gad-p-overflow", "gad-int", "povm-entry-null"])
+def test_channel_json_conversion_failures_are_value_errors(obj):
+    with pytest.raises(ValueError):
+        channel_from_json(obj)
+
+
 # --- transfer-matrix reshape conventions -------------------------------------
 
 

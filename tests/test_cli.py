@@ -154,6 +154,19 @@ def test_evolve_gad_line(files):
     assert sidecar["sudden_death_step"] is None
 
 
+@pytest.mark.parametrize("name", ["traj.json", "traj.JSON.json"])
+def test_evolve_out_colliding_with_its_sidecar_is_usage_error(files, capsys, name):
+    # The sidecar goes to the --out path with the suffix .json, which is the
+    # --out path itself here: the CSV would be overwritten.
+    out = files["tmp"] / name
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--channel", str(files["gad"]), "--state", str(files["state"]),
+              "--steps", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cohbreak: error: --out {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_zero_steps_is_usage_error(files):
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--channel", str(files["gad"]),

@@ -224,6 +224,24 @@ def test_contraction_of_unitary_channel_is_one():
     assert abs(ratio - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("channel", [
+    gad_channel(0.7, 0.4),
+    [gad_channel(0.6, 0.3), dephasing_channel(2)],
+    partial_dephasing_channel(3, 0.5),
+], ids=["gad", "product", "partial-dephasing"])
+def test_contraction_check_matches_pairwise_trace_distances(channel):
+    # The same ratio as one trace_distance per pair, on the same kets.
+    factors = channel if isinstance(channel, list) else [channel]
+    whole = factors[0] if len(factors) == 1 else kron_channel(*factors)
+    kets = haar_random_kets(whole.dim, 2 * 40, np.random.default_rng(16))
+    expected = 0.0
+    for psi, phi in zip(kets[0::2], kets[1::2]):
+        rho, sigma = np.outer(psi, psi.conj()), np.outer(phi, phi.conj())
+        ratio = trace_distance(apply(whole, rho), apply(whole, sigma)) / trace_distance(rho, sigma)
+        expected = max(expected, ratio)
+    assert abs(contraction_check(channel, samples=40, seed=16) - expected) < 1e-12
+
+
 def test_contraction_of_noisy_channels_is_below_one():
     for channel in (dephasing_channel(2), gad_channel(0.7, 1.0)):
         ratio = contraction_check(channel, samples=100, seed=13)

@@ -12,6 +12,7 @@ from cohbreak.errors import (
 from cohbreak.linalg import generalized_gell_mann
 from cohbreak.states import (
     bloch_vector,
+    complex_matrix_from_json,
     from_bloch,
     from_generalized_bloch,
     haar_random_kets,
@@ -182,3 +183,26 @@ def test_state_json_rejects_garbage():
         state_from_json({"matrix": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]})
     with pytest.raises(ValueError):
         state_from_json({})
+
+
+MIXED = state_to_json(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("obj", [
+    {**MIXED, "dim": None},
+    {**MIXED, "dim": float("inf")},
+    {**MIXED, "dim": [2]},
+    {"bloch": {"x": 0.1}},
+    {"matrix": [[[10**400, 0.0]]]},
+], ids=["dim-null", "dim-infinity", "dim-list", "bloch-object", "entry-overflow"])
+def test_state_json_conversion_failures_are_value_errors(obj):
+    with pytest.raises(ValueError):
+        state_from_json(obj)
+
+
+@pytest.mark.parametrize("data", [
+    [[[10**400, 0.0]]], [[[0.0, -10**400]]], [[None]], 5,
+], ids=["re-overflow", "im-overflow", "entry-null", "not-a-list"])
+def test_complex_matrix_json_failures_are_value_errors(data):
+    with pytest.raises(ValueError):
+        complex_matrix_from_json(data)
