@@ -154,11 +154,10 @@ def test_evolve_gad_line(files):
     assert sidecar["sudden_death_step"] is None
 
 
-@pytest.mark.parametrize("name", ["traj.json", "traj.JSON.json"])
-def test_evolve_out_colliding_with_its_sidecar_is_usage_error(files, capsys, name):
+def test_evolve_out_colliding_with_its_sidecar_is_usage_error(files, capsys):
     # The sidecar goes to the --out path with the suffix .json, which is the
     # --out path itself here: the CSV would be overwritten.
-    out = files["tmp"] / name
+    out = files["tmp"] / "traj.json"
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--channel", str(files["gad"]), "--state", str(files["state"]),
               "--steps", "3", "--out", str(out)])
