@@ -442,21 +442,64 @@ def random_incoherent_channel(
 # --- JSON wire format --------------------------------------------------------
 #
 # {"dim": d, "kraus": [matrix, ...]}          explicit Kraus operators
+# {"dim": d, "sparse": [[[i, j, re, im], ...], ...]}
+#                                             one entry list per Kraus operator
 # {"affine": {"m": [[...]], "n": [...]}}      qubit affine pair
 # {"gad": {"p": p, "t": t}}                   generalized amplitude damping
 # {"povm": [matrix, ...]}                     measure-and-prepare channel
 #
-# Exactly one of the kraus/affine/gad/povm keys must be present; complex
-# entries are [re, im] pairs.
+# Exactly one of the kraus/sparse/affine/gad/povm keys must be present;
+# complex entries are [re, im] pairs. A sparse operator lists its entries
+# other than +0 (so signed zeros survive) and an all-zero operator is [].
+# channel_to_json writes the sparse form when its 4 numbers per entry are
+# fewer than the dense form's 2 per entry of every operator.
 
-_CHANNEL_KEYS = ("kraus", "affine", "gad", "povm")
+_CHANNEL_KEYS = ("kraus", "sparse", "affine", "gad", "povm")
 
 
 def channel_to_json(channel: KrausChannel) -> dict:
-    return {
-        "dim": channel.dim,
-        "kraus": [complex_matrix_to_json(k) for k in channel.kraus_ops],
-    }
+    d, stack = channel.dim, np.stack(channel.kraus_ops)
+    written = (stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag)
+    if 4 * np.count_nonzero(written) >= 2 * stack.size:
+        return {"dim": d, "kraus": [complex_matrix_to_json(k) for k in stack]}
+    sparse = []
+    for k, mask in zip(stack, written):
+        i, j = np.nonzero(mask)
+        z = k[i, j]
+        sparse.append([list(e) for e in zip(i.tolist(), j.tolist(),
+                                            z.real.tolist(), z.imag.tolist())])
+    return {"dim": d, "sparse": sparse}
+
+
+def _sparse_kraus(d, ops) -> list[np.ndarray]:
+    """Dense Kraus operators from the sparse form, allocated only after every
+    entry is checked and every column has one (else it cannot be CPTP)."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f'the sparse form needs "dim" a positive integer, got {d!r}')
+    if not isinstance(ops, list) or not all(isinstance(op, list) for op in ops):
+        raise ValueError('"sparse" must be a list of entry lists, one per Kraus operator')
+    index, values = [], []
+    for n, op in enumerate(ops):
+        seen = set()
+        for entry in op:
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ValueError(f"operator {n}: entry {entry!r} is not [i, j, re, im]")
+            i, j, re, im = entry
+            if not all(type(x) is int and 0 <= x < d for x in (i, j)):
+                raise ValueError(f"operator {n}: index ({i!r}, {j!r}) is not in [0, {d})")
+            if (i, j) in seen:
+                raise ValueError(f"operator {n}: entry ({i}, {j}) appears twice")
+            seen.add((i, j))
+            index.append((n, i, j))
+            values.append(complex(re, im))
+    columns = {j for _, _, j in index}
+    if len(columns) < d:  # the first missing column is at most len(columns)
+        missing = next(j for j in range(d) if j not in columns)
+        raise ValueError(f"column {missing} has no entry, so the channel is not "
+                         "trace preserving")
+    stack = np.zeros((len(ops), d, d), dtype=complex)
+    stack[tuple(np.array(index).T)] = values
+    return list(stack)
 
 
 @json_parser
@@ -470,6 +513,8 @@ def channel_from_json(obj: dict) -> KrausChannel:
             f'channel JSON needs exactly one of {_CHANNEL_KEYS}, found {present or "none"}'
         )
     key = present[0]
+    if key == "sparse":
+        return make_channel(_sparse_kraus(obj.get("dim"), obj["sparse"]), dim=obj["dim"])
     if key == "kraus":
         ops = [complex_matrix_from_json(k) for k in obj["kraus"]]
         channel = make_channel(ops)

@@ -185,6 +185,8 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     the worst-residual output with every output (of every pair, if exact).
     """
     d, t = channel.dim, channel.transfer
+    if d == 1:  # a single output, which commutes with itself
+        return True, {"max_commutator": 0.0, "residual": 0.0}
     pairs, mix, weights = _qc_inputs(d)
     above, below = t[:, pairs[0]], t[:, pairs[1]]  # Phi(|j><k|), Phi(|k><j|)
     outputs = np.concatenate([above + below, 1j * (below - above), t[:, ::d + 1] @ mix],
@@ -207,7 +209,7 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     """PPT test on the Choi state.
 
     Returns (verdict, witness) with verdict in {"yes", "no", "inconclusive"}
-    and the minimum partial-transpose eigenvalue as witness. For qubits PPT
+    and the minimum partial-transpose eigenvalue as witness. For d <= 2 PPT
     decides entanglement breaking; for d >= 3 it is only a no-certificate.
     """
     d = channel.dim  # PT[(u, v), (r, s)] = Choi[(u, s), (r, v)] = T[(u, r), (s, v)] / d
@@ -216,7 +218,7 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     witness = {"min_pt_eigenvalue": min_eig}
     if min_eig < -tol:
         return "no", witness
-    return "yes" if d == 2 else "inconclusive", witness
+    return "yes" if d <= 2 else "inconclusive", witness
 
 
 @dataclass

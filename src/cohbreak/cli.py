@@ -12,8 +12,9 @@ stdout or to ``--out PATH`` (``evolve`` puts its sidecar at PATH with the
 suffix ``.json``, so PATH must not end in ``.json``). Exit codes: 0
 success, 2 usage or malformed input (an input file that cannot be read or
 parsed is named in the message), 3 domain error (e.g. a channel that
-cannot be certified incoherent, or mismatched dimensions). All randomness
-is seeded explicitly so outputs are byte-reproducible.
+cannot be certified incoherent, mismatched dimensions, or a numpy
+LinAlgError while computing). All randomness is seeded explicitly so
+outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .channels import channel_from_json, identity_channel
@@ -221,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         texts = args.func(args, *inputs)
     except ParameterOutOfRangeError as exc:
         PARSER.error(str(exc))
-    except CohbreakError as exc:
+    except (CohbreakError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     _write(texts, args.out)

@@ -29,7 +29,7 @@ from cohbreak.channels import (
 from cohbreak.coherence import is_incoherent_state
 from cohbreak.channels import apply
 from cohbreak.linalg import generalized_gell_mann
-from cohbreak.states import maximally_coherent
+from cohbreak.states import complex_matrix_to_json, maximally_coherent
 
 # With CI set (GitHub Actions sets it), property tests draw their examples
 # from a fixed seed, so a failure there replays locally with CI=1.
@@ -174,3 +174,32 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def dense_channel_json(channel: KrausChannel) -> dict:
+    """The dense "kraus" wire form, whichever form channel_to_json picks."""
+    return {"dim": channel.dim, "kraus": [complex_matrix_to_json(k) for k in channel.kraus_ops]}
+
+
+# Sparse files that are each malformed in one way: the library raises
+# ValueError and the CLI exits 2. The good base is the dephasing channel
+# [[[0, 0, 1, 0]], [[1, 1, 1, 0]]]; a wrapped negative index would make
+# the first two cases valid.
+NAN = float("nan")
+MALFORMED_SPARSE = {
+    "negative-row": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[-1, 1, 1.0, 0.0]]]},
+    "negative-column": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, -1, 1.0, 0.0]]]},
+    "index-out-of-range": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[2, 1, 1.0, 0.0]]]},
+    "index-float": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1.0, 1, 1.0, 0.0]]]},
+    "index-bool": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[True, 1, 1.0, 0.0]]]},
+    "duplicate-entry": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], [0, 0, 0.0, 0.0]],
+                                             [[1, 1, 1.0, 0.0]]]},
+    "three-item-entry": {"dim": 2, "sparse": [[[0, 0, 1.0]], [[1, 1, 1.0, 0.0]]]},
+    "dim-missing": {"sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 1.0, 0.0]]]},
+    "dim-null": {"dim": None, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 1.0, 0.0]]]},
+    "dim-infinity": {"dim": float("inf"), "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 1.0, 0.0]]]},
+    "value-nan": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, NAN, 0.0]]]},
+    "value-null": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, None, 0.0]]]},
+    "empty-column": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]]]},
+    "operator-not-list": {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], 5]},
+}

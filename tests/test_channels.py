@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohbreak.channels import (
     QubitAffine,
@@ -23,6 +25,7 @@ from cohbreak.channels import (
     make_channel,
     partial_dephasing_channel,
     random_channel,
+    random_incoherent_channel,
     random_povm,
     unitary_channel,
     y_to_x_channel,
@@ -40,7 +43,7 @@ from cohbreak.states import (
     from_bloch,
     maximally_coherent,
 )
-from conftest import random_density_matrix
+from conftest import MALFORMED_SPARSE, dense_channel_json, random_density_matrix
 
 
 def matrix_units(d):
@@ -488,8 +491,8 @@ def test_channel_json_dispatch_errors():
 
 
 @pytest.mark.parametrize("obj", [
-    {**channel_to_json(dephasing_channel(2)), "dim": None},
-    {**channel_to_json(dephasing_channel(2)), "dim": float("inf")},
+    {**dense_channel_json(dephasing_channel(2)), "dim": None},
+    {**dense_channel_json(dephasing_channel(2)), "dim": float("inf")},
     {"kraus": 5},
     {"kraus": [[[[10**400, 0.0]]]]},
     {"gad": {"p": None, "t": 0.5}},
@@ -501,6 +504,84 @@ def test_channel_json_dispatch_errors():
 def test_channel_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         channel_from_json(obj)
+
+
+# --- sparse wire form ---------------------------------------------------------
+
+
+@st.composite
+def wire_channels(draw):
+    """Random, random incoherent and gallery channels at d <= 8, some with
+    an all-zero operator appended or +0 entries turned into -0."""
+    kind = draw(st.sampled_from(["incoherent", "random", "dephasing", "partial",
+                                 "identity", "unitary-minus", "povm", "gad", "y-to-x"]))
+    d = 2 if kind in ("gad", "y-to-x") else draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channel = {
+        "incoherent": lambda: random_incoherent_channel(d, rng),
+        "random": lambda: random_channel(d, draw(st.integers(1, 3)), rng),
+        "dephasing": lambda: dephasing_channel(d),
+        "partial": lambda: partial_dephasing_channel(d, draw(st.floats(0, 1))),
+        "identity": lambda: identity_channel(d),
+        "unitary-minus": lambda: unitary_channel(-np.eye(d)),
+        "povm": lambda: cbc_from_povm(random_povm(d, d, rng)),
+        "gad": lambda: gad_channel(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
+        "y-to-x": lambda: y_to_x_channel(draw(st.floats(-1, 1))),
+    }[kind]()
+    ops = [k.copy() for k in channel.kraus_ops]
+    if draw(st.booleans()):
+        ops.append(np.zeros((d, d), dtype=complex))
+    if draw(st.booleans()):
+        k = ops[draw(st.integers(0, len(ops) - 1))]
+        zeros = np.argwhere(k == 0)
+        for i, j in zeros[rng.random(len(zeros)) < 0.5]:
+            k[i, j] = complex(-0.0, draw(st.sampled_from([0.0, -0.0])))
+    return make_channel(ops, dim=d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel=wire_channels())
+def test_channel_json_round_trip_is_bit_exact_in_the_smaller_form(channel):
+    obj = channel_to_json(channel)
+    back = channel_from_json(json.loads(json.dumps(obj)))
+    assert back.n_ops == channel.n_ops
+    for k, k_back in zip(channel.kraus_ops, back.kraus_ops):
+        assert k_back.tobytes() == k.tobytes()  # signed zeros included
+    stack = np.stack(channel.kraus_ops)
+    nnz = np.count_nonzero((stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag))
+    sparse = 4 * nnz < 2 * channel.n_ops * channel.dim**2
+    assert set(obj) == {"dim", "sparse" if sparse else "kraus"}
+
+
+def test_channel_json_incoherent_channels_are_sparse():
+    obj = channel_to_json(partial_dephasing_channel(64, 0.5))
+    assert len(obj["sparse"]) == 65
+    assert sum(map(len, obj["sparse"])) == 128
+    assert [0, 0, np.sqrt(0.5), 0.0] in obj["sparse"][0]
+    assert "kraus" in channel_to_json(random_channel(3, 2, np.random.default_rng(1)))
+
+
+def test_channel_json_sparse_all_zero_operator_is_an_empty_list():
+    channel = make_channel([np.eye(2), np.zeros((2, 2))])
+    obj = channel_to_json(channel)
+    assert obj == {"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]], []]}
+    assert channel_from_json(obj).n_ops == 2
+
+
+@pytest.mark.parametrize("obj", MALFORMED_SPARSE.values(), ids=MALFORMED_SPARSE.keys())
+def test_malformed_sparse_channel_is_a_value_error(obj):
+    with pytest.raises(ValueError):
+        channel_from_json(obj)
+
+
+def test_sparse_channel_must_be_trace_preserving():
+    with pytest.raises(NotTracePreservingError):
+        channel_from_json({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 0.5, 0.0]]]})
+
+
+def test_sparse_dim_without_entries_is_rejected_before_allocating():
+    with pytest.raises(ValueError, match="column 0 has no entry"):
+        channel_from_json({"dim": 10**12, "sparse": [[]] * 1000})
 
 
 # --- transfer-matrix reshape conventions -------------------------------------

@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohbreak.channels import (
+    cbc_from_povm,
     channel_to_json,
     dephasing_channel,
     identity_channel,
     partial_dephasing_channel,
+    random_povm,
     y_to_x_channel,
 )
 from cohbreak.classifiers import ClassificationReport
 from cohbreak.cli import main
 from cohbreak.concentration import ConcentrationReport
 from cohbreak.states import complex_matrix_to_json, state_to_json
-from conftest import rotated_dephasing_channel
+from conftest import MALFORMED_SPARSE, dense_channel_json, rotated_dephasing_channel
 
 
 @pytest.fixture()
@@ -103,7 +105,7 @@ def test_index_rejects_non_incoherent_channel(files, capsys):
 
 @pytest.mark.parametrize("command", [["classify"], ["index"]])
 def test_nan_kraus_entry_is_usage_error(files, capsys, command):
-    kraus = channel_to_json(dephasing_channel(2))
+    kraus = dense_channel_json(dephasing_channel(2))
     kraus["kraus"][0][1][1] = [float("nan"), 0.0]
     path = files["tmp"] / "nan_channel.json"
     path.write_text(json.dumps(kraus))
@@ -111,6 +113,57 @@ def test_nan_kraus_entry_is_usage_error(files, capsys, command):
         main([*command, "--channel", str(path)])
     assert exc.value.code == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["index"]])
+def test_nan_sparse_entry_is_usage_error(files, capsys, command):
+    sparse = channel_to_json(dephasing_channel(2))
+    sparse["sparse"][1][0][2] = float("nan")
+    path = files["tmp"] / "nan_channel.json"
+    path.write_text(json.dumps(sparse))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--channel", str(path)])
+    assert exc.value.code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel", [
+    partial_dephasing_channel(3, 0.3),
+    cbc_from_povm(random_povm(3, 3, np.random.default_rng(5))),
+], ids=["partial-dephasing", "povm"])
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["index", "--format", "json"],
+    ["index"],
+    ["evolve", "--state", "state3", "--steps", "3"],
+    ["concentrate", "--dim", "3", "--samples", "64", "--seed", "4", "--eps", "0.05,0.1"],
+], ids=["classify", "index-json", "index-text", "evolve", "concentrate"])
+def test_sparse_and_dense_files_give_identical_output(files, channel, argv):
+    argv = [str(files[a]) if a in files else a for a in argv]
+    outputs = []
+    for obj in (channel_to_json(channel), dense_channel_json(channel)):
+        path, out = files["tmp"] / "channel.json", files["tmp"] / "out.csv"
+        path.write_text(json.dumps(obj))
+        code = main([*argv, "--channel", str(path), "--out", str(out)])
+        sidecar = out.with_suffix(".json")
+        outputs.append((code, out.read_bytes(), sidecar.exists() and sidecar.read_bytes()))
+    assert "sparse" in channel_to_json(channel)
+    assert outputs[0] == outputs[1]
+
+
+def test_classify_dimension_one_is_in_every_class(capsys):
+    assert main(["classify", "--channel", "identity", "--dim", "1"]) == 0
+    report = ClassificationReport.from_dict(json.loads(capsys.readouterr().out))
+    assert set(report.verdicts.values()) == {"yes"}
+
+
+def test_linalg_error_while_computing_is_domain_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["classify", "--channel", "identity", "--dim", "2"]) == 3
+    assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
 
 def test_evolve_nan_state_is_usage_error(files, capsys):
@@ -261,7 +314,7 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-GOOD_KRAUS = channel_to_json(dephasing_channel(2))
+GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
 
 
 @pytest.mark.parametrize("flag, obj", [
@@ -273,8 +326,10 @@ GOOD_KRAUS = channel_to_json(dephasing_channel(2))
     ("--state", {"bloch": [0.1, 0.2]}),
     ("--state", {**state_to_json(np.eye(2) / 2), "dim": None}),
     ("--state", {"bloch": [float("nan"), 0.0, 0.0]}),
+    *(("--channel", obj) for obj in MALFORMED_SPARSE.values()),
 ], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
-        "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan"])
+        "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan",
+        *(f"sparse-{name}" for name in MALFORMED_SPARSE)])
 def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(obj))
@@ -327,6 +382,8 @@ JUNK = st.recursive(
     max_leaves=6,
 )
 ENTRY = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), JUNK)
+INDEX = st.one_of(st.integers(-1, 4), JUNK)
+SPARSE_ENTRY = st.one_of(st.tuples(INDEX, INDEX, NUMBERS, NUMBERS).map(list), JUNK)
 DIM = st.one_of(st.integers(1, 4), JUNK)
 
 
@@ -353,6 +410,8 @@ def mutated(draw, base):
 GOOD_CHANNELS = [
     channel_to_json(identity_channel(3)),
     channel_to_json(partial_dephasing_channel(4, 0.3)),
+    dense_channel_json(partial_dephasing_channel(4, 0.3)),
+    channel_to_json(cbc_from_povm(random_povm(3, 3, np.random.default_rng(2)))),
     channel_to_json(y_to_x_channel(0.5)),
     channel_to_json(rotated_dephasing_channel()),
     {"gad": {"p": 0.7, "t": 1.0}},
@@ -368,6 +427,8 @@ CHANNELS = st.sampled_from([
     *[st.sampled_from(GOOD_CHANNELS)] * 4,
     st.sampled_from(GOOD_CHANNELS).flatmap(mutated),
     st.fixed_dictionaries({"dim": DIM, "kraus": st.lists(matrices(), max_size=3)}),
+    st.fixed_dictionaries({"dim": DIM, "sparse": st.lists(st.lists(SPARSE_ENTRY, max_size=5),
+                                                          max_size=3)}),
     st.fixed_dictionaries({"affine": st.fixed_dictionaries({"m": JUNK, "n": JUNK})}),
     st.fixed_dictionaries({"gad": st.fixed_dictionaries({"p": NUMBERS, "t": JUNK})}),
     st.fixed_dictionaries({"povm": st.lists(matrices(), max_size=3)}),

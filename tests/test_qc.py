@@ -103,3 +103,8 @@ def test_is_qc_takes_at_most_20_ms_at_d16():
         is_qc(channel)
         best = min(best, time.perf_counter() - start)
     assert best <= 0.020, f"is_qc took {best * 1e3:.1f} ms at d = 16"
+
+
+@pytest.mark.parametrize("ops", [[[[1.0]]], [[[0.6]], [[0.8j]]]], ids=["identity", "two-ops"])
+def test_is_qc_at_dimension_one_needs_no_gell_mann_basis(ops):
+    assert is_qc(make_channel(ops)) == (True, {"max_commutator": 0.0, "residual": 0.0})
