@@ -2,8 +2,9 @@
 
 Three interchangeable representations are supported:
 
-* ``KrausChannel`` -- an ordered list of Kraus operators K_n with
-  sum_n K_n^dag K_n = I; the channel acts as rho -> sum_n K_n rho K_n^dag.
+* ``KrausChannel`` -- Kraus operators K_n with sum_n K_n^dag K_n = I, held
+  as one read-only complex array of shape (n_ops, d, d); the channel acts as
+  rho -> sum_n K_n rho K_n^dag.
 * ``ChoiMatrix`` -- rho_Phi = (Phi otimes id)(|beta><beta|) with
   |beta> = (1/sqrt d) sum_i |ii>. Index order is output-factor-first:
   entry ((u, v), (r, s)) couples channel-output indices u, r with ancilla
@@ -11,7 +12,8 @@ Three interchangeable representations are supported:
 * ``QubitAffine`` -- the Bloch-ball action r -> M r + n of a qubit channel.
 
 Choi matrices, affine pairs, class tests and channel powers are all read off
-one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n).
+one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n); the
+canonical Kraus set of the Choi eigendecomposition is cached alike.
 
 Composition goes through the Choi matrix of T_outer T_inner whenever the
 product list would exceed d^2 operators, which always suffices.
@@ -42,24 +44,29 @@ RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
 class KrausChannel:
     """A CPTP map given by Kraus operators; validated at construction.
 
+    The operators, given as any iterable of d x d array-likes, are copied
+    into kraus_ops: one read-only complex array of shape (n_ops, d, d).
     Channels failing the completeness check are rejected, never silently
     renormalized.
     """
 
     dim: int
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.kraus_ops:
+        d, ops = self.dim, [np.asarray(k, dtype=complex) for k in self.kraus_ops]
+        if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
-        for k in self.kraus_ops:
-            if k.shape != (self.dim, self.dim):
+        for k in ops:
+            if k.shape != (d, d):
                 raise DimensionMismatchError(
-                    f"Kraus operator of shape {k.shape} in a dim-{self.dim} channel"
-                )
-        require_finite(self.kraus_ops, "Kraus operators")
-        comp = sum(k.conj().T @ k for k in self.kraus_ops)
-        defect = float(np.abs(comp - np.eye(self.dim)).max())
+                    f"Kraus operator of shape {k.shape} in a dim-{d} channel")
+        stack = np.array(ops)
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus_ops", stack)
+        require_finite(stack, "Kraus operators")
+        flat = stack.reshape(-1, d)  # rows of every K_n, stacked
+        defect = float(np.abs(flat.conj().T @ flat - np.eye(d)).max())
         if defect > TOL_CPTP:
             raise NotTracePreservingError(
                 f"sum K^dag K deviates from identity by {defect:.3e} (> {TOL_CPTP:.0e})"
@@ -76,15 +83,16 @@ class KrausChannel:
         t.flags.writeable = False
         return t
 
+    @cached_property
+    def canonical(self) -> KrausChannel:
+        """The canonical Kraus set of the Choi eigendecomposition, built on first use."""
+        return choi_to_kraus(kraus_to_choi(self))
+
 
 def make_channel(kraus_ops, dim: int | None = None) -> KrausChannel:
-    """Build a KrausChannel from any iterable of array-likes."""
-    ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
-    if dim is None:
-        if not ops:
-            raise NotTracePreservingError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-    return KrausChannel(dim=dim, kraus_ops=ops)
+    """Build a KrausChannel, taking dim from the first operator unless given."""
+    ops = list(kraus_ops)
+    return KrausChannel(dim=np.shape(ops[0])[0] if dim is None and ops else dim, kraus_ops=ops)
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,8 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match channel dimension {channel.dim}"
         )
-    kstack = np.stack(channel.kraus_ops)
-    return np.einsum("nij,jk,nlk->il", kstack, rho, kstack.conj())
+    k = channel.kraus_ops
+    return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -159,7 +167,7 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(f"cannot compose dim {d} with dim {inner.dim}")
     if outer.n_ops * inner.n_ops > d**2:
         return choi_to_kraus(ChoiMatrix(d, _reshuffle(outer.transfer @ inner.transfer, d) / d))
-    return make_channel([a @ b for a in outer.kraus_ops for b in inner.kraus_ops], dim=d)
+    return make_channel((outer.kraus_ops[:, None] @ inner.kraus_ops).reshape(-1, d, d), dim=d)
 
 
 def iterate(channel: KrausChannel, n: int) -> KrausChannel:
@@ -194,12 +202,8 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     w, v = np.linalg.eigh(choi.matrix)
     if w.min() < -TOL_PSD:
         raise NotPSDError(f"Choi matrix has eigenvalue {w.min():.3e}")
-    ops = [
-        np.sqrt(d * lam) * v[:, i].reshape(d, d)
-        for i, lam in enumerate(w)
-        if lam > RANK_CUTOFF
-    ]
-    return make_channel(ops, dim=d)
+    keep = w > RANK_CUTOFF
+    return make_channel((np.sqrt(d * w[keep]) * v[:, keep]).T.reshape(-1, d, d), dim=d)
 
 
 def transfer_matrix(channel: KrausChannel) -> np.ndarray:
@@ -208,7 +212,7 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     Phi(|i><j|)[u, v] = T[u*d + v, i*d + j]; built as a reshuffled product.
     """
     d = channel.dim
-    vecs = np.stack(channel.kraus_ops).reshape(-1, d * d)
+    vecs = channel.kraus_ops.reshape(-1, d * d)
     return _reshuffle(vecs.T @ vecs.conj(), d)
 
 
@@ -268,11 +272,8 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Complete dephasing: rho -> sum_i <i|rho|i> |i><i|."""
-    ops = []
-    for i in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = 1.0
-        ops.append(p)
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     return make_channel(ops, dim=d)
 
 
@@ -280,12 +281,10 @@ def partial_dephasing_channel(d: int, q: float) -> KrausChannel:
     """rho -> q rho + (1 - q) Delta(rho); scales every coherence by q."""
     if not 0.0 <= q <= 1.0:
         raise ParameterOutOfRangeError(f"need q in [0, 1], got {q}")
-    ops = [np.sqrt(q) * np.eye(d, dtype=complex)]
-    for i in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[i, i] = np.sqrt(1.0 - q)
-        ops.append(p)
-    return make_channel([k for k in ops if np.abs(k).max() > 0.0], dim=d)
+    ops = np.zeros((d + 1, d, d), dtype=complex)
+    ops[0] = np.sqrt(q) * np.eye(d)
+    ops[np.arange(1, d + 1), np.arange(d), np.arange(d)] = np.sqrt(1.0 - q)
+    return make_channel(ops[np.abs(ops).max(axis=(1, 2)) > 0.0], dim=d)
 
 
 def gad_channel(p: float, t: float) -> KrausChannel:
@@ -375,8 +374,9 @@ def cbc_from_povm(effects) -> KrausChannel:
 
 def kron_channel(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     """Tensor product channel acting on dim first.dim * second.dim."""
-    ops = [np.kron(a, b) for a in first.kraus_ops for b in second.kraus_ops]
-    return make_channel(ops, dim=first.dim * second.dim)
+    d = first.dim * second.dim  # [m, n, i, k, j, l] = a_m[i, j] b_n[k, l]
+    ops = first.kraus_ops[:, None, :, None, :, None] * second.kraus_ops[:, None, :, None, :]
+    return make_channel(ops.reshape(-1, d, d), dim=d)
 
 
 # --- random instances (reproducible test corpora) ---------------------------
@@ -432,9 +432,9 @@ def random_incoherent_channel(
             u[perm, np.arange(d)] = 1.0
             part = [u]
         elif kind == 2:
-            part = list(partial_dephasing_channel(d, float(rng.uniform())).kraus_ops)
+            part = partial_dephasing_channel(d, float(rng.uniform())).kraus_ops
         else:
-            part = list(cbc_from_povm(random_povm(d, d, rng)).kraus_ops)
+            part = cbc_from_povm(random_povm(d, d, rng)).kraus_ops
         ops.extend(np.sqrt(w) * k for k in part)
     return make_channel(ops, dim=d)
 
@@ -458,7 +458,7 @@ _CHANNEL_KEYS = ("kraus", "sparse", "affine", "gad", "povm")
 
 
 def channel_to_json(channel: KrausChannel) -> dict:
-    d, stack = channel.dim, np.stack(channel.kraus_ops)
+    d, stack = channel.dim, channel.kraus_ops
     written = (stack != 0) | np.signbit(stack.real) | np.signbit(stack.imag)
     if 4 * np.count_nonzero(written) >= 2 * stack.size:
         return {"dim": d, "kraus": [complex_matrix_to_json(k) for k in stack]}
@@ -471,8 +471,8 @@ def channel_to_json(channel: KrausChannel) -> dict:
     return {"dim": d, "sparse": sparse}
 
 
-def _sparse_kraus(d, ops) -> list[np.ndarray]:
-    """Dense Kraus operators from the sparse form, allocated only after every
+def _sparse_kraus(d, ops) -> np.ndarray:
+    """Dense (n_ops, d, d) Kraus array from the sparse form, allocated only after every
     entry is checked and every column has one (else it cannot be CPTP)."""
     if type(d) is not int or d < 1:
         raise ValueError(f'the sparse form needs "dim" a positive integer, got {d!r}')
@@ -499,7 +499,7 @@ def _sparse_kraus(d, ops) -> list[np.ndarray]:
                          "trace preserving")
     stack = np.zeros((len(ops), d, d), dtype=complex)
     stack[tuple(np.array(index).T)] = values
-    return list(stack)
+    return stack
 
 
 @json_parser

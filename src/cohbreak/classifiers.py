@@ -3,9 +3,10 @@
 Classes and their decision procedures:
 
 * incoherent / SIO / SCBC -- sparsity-pattern tests on a concrete Kraus
-  decomposition. Membership can depend on the decomposition, so
-  ``classify`` retries with the canonical Choi-extracted set before
-  reporting "no".
+  decomposition. Membership can depend on the decomposition, so a test
+  that fails on the given set is retried, in one helper that ``classify``
+  and ``dynamics.certify_incoherent`` share, on the channel's cached
+  canonical Choi-extracted set before the verdict is "no".
 * CBC / DIO -- decomposition-independent masked maxima over the images of
   the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
   the columns of the transfer matrix T.
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _pauli_transfer, choi_to_kraus, kraus_to_choi
+from .channels import KrausChannel, QubitAffine, _pauli_transfer
 from .errors import InconsistentVerdictsError
 from .linalg import generalized_gell_mann
 
@@ -62,7 +63,7 @@ def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Returns (ok, witness); on failure the witness names the first violating
     (operator, column) and the achieved residual (second-largest magnitude).
     """
-    second = _second_largest(np.abs(np.stack(channel.kraus_ops)), axis=1)
+    second = _second_largest(np.abs(channel.kraus_ops), axis=1)
     bad = np.argwhere(second > tol)  # row-major order: first operator, then column
     if len(bad):
         n, j = (int(x) for x in bad[0])
@@ -80,7 +81,7 @@ def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     if not ok_col:
         witness["axis"] = "column"
         return False, witness
-    second = _second_largest(np.abs(np.stack(channel.kraus_ops)), axis=2)
+    second = _second_largest(np.abs(channel.kraus_ops), axis=2)
     bad = np.argwhere(second > tol)
     if len(bad):
         n, i = (int(x) for x in bad[0])
@@ -95,7 +96,7 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     to a reference-basis vector, so every selective branch K rho K^dag is
     diagonal.
     """
-    row_norms = np.abs(np.stack(channel.kraus_ops)).max(axis=2)
+    row_norms = np.abs(channel.kraus_ops).max(axis=2)
     second = _second_largest(row_norms, axis=1)
     bad = np.flatnonzero(second > tol)
     if len(bad):
@@ -250,28 +251,33 @@ _PATTERN_PREDICATES = {
 }
 
 
+def _given_or_canonical(predicate, channel: KrausChannel, tol: float):
+    """A pattern predicate on the given Kraus set, then, only if that fails,
+    on the canonical set. Returns the set that passed ("given", "canonical"
+    or None) and the witness of each set tested, by name."""
+    ok, given = predicate(channel, tol)
+    if ok:
+        return "given", {"given": given}
+    ok, canonical = predicate(channel.canonical, tol)
+    return "canonical" if ok else None, {"given": given, "canonical": canonical}
+
+
 def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Run every class predicate and assemble a consistent report.
 
     Pattern classes (incoherent, SIO, SCBC) are first tested on the given
-    Kraus set, then on the canonical Choi-extracted set; CBC membership
+    Kraus set, then, if that fails, on the canonical set; CBC membership
     additionally certifies incoherent and SCBC via the measure-and-prepare
     form. The report is checked against the inclusion relations
     CBC => QC => EB-not-no and SCBC = CBC before it is returned.
     """
     report = ClassificationReport(tolerance=tol)
-    canonical = choi_to_kraus(kraus_to_choi(channel))
 
     for name, predicate in _PATTERN_PREDICATES.items():
-        ok, witness = predicate(channel, tol)
-        decomposition = "given"
-        if not ok:
-            ok_retry, witness_retry = predicate(canonical, tol)
-            if ok_retry:
-                ok, witness, decomposition = ok_retry, witness_retry, "canonical"
-        witness["decomposition"] = decomposition
-        report.verdicts[name] = "yes" if ok else "no"
-        report.evidence[name] = witness
+        decomposition, witnesses = _given_or_canonical(predicate, channel, tol)
+        report.verdicts[name] = "yes" if decomposition else "no"
+        witness = report.evidence[name] = witnesses[decomposition or "given"]
+        witness["decomposition"] = decomposition or "given"
 
     for name, predicate in (("cbc", is_cbc), ("dio", is_dio), ("qc", is_qc)):
         ok, report.evidence[name] = predicate(channel, tol)

@@ -11,10 +11,11 @@ Each run parses the flags, loads the input files, computes, and writes to
 stdout or to ``--out PATH`` (``evolve`` puts its sidecar at PATH with the
 suffix ``.json``, so PATH must not end in ``.json``). Exit codes: 0
 success, 2 usage or malformed input (an input file that cannot be read or
-parsed is named in the message), 3 domain error (e.g. a channel that
-cannot be certified incoherent, mismatched dimensions, or a numpy
-LinAlgError while computing). All randomness is seeded explicitly so
-outputs are byte-reproducible.
+parsed, or whose dimension is not --dim, is named in the message), 3
+domain error (e.g. a channel that cannot be certified incoherent, a state
+of another dimension than the channel, or a numpy LinAlgError while
+computing). All randomness is seeded explicitly so outputs are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", required=not sampling, default="identity",
                        help="channel JSON file, or the name 'identity' (with --dim)")
         p.add_argument("--dim", type=_int_at_least(2 if sampling else 1), required=sampling,
-                       help="dimension d for --channel identity (concentrate: d >= 2)")
+                       help="dimension d for --channel identity; a channel file must "
+                       "match it (concentrate: d >= 2)")
         p.add_argument("--tol", type=_positive_float, default=tol,
                        help=f"numeric tolerance (default {tol:g})")
         p.add_argument("--out", default=None,
@@ -180,8 +182,8 @@ def _read_json(path: str):
 
 
 def _load(args) -> list:
-    """The channel and, for evolve, the state. A file that cannot be read or
-    parsed is a usage error whose message names it."""
+    """The channel and, for evolve, the state. A file that cannot be read or parsed, or a
+    channel file whose dimension is not --dim, is a usage error whose message names it."""
     path = args.channel
     try:
         if path == "identity":
@@ -190,6 +192,9 @@ def _load(args) -> list:
             inputs = [identity_channel(args.dim)]
         else:
             inputs = [channel_from_json(_read_json(path))]
+            if args.dim not in (None, inputs[0].dim):
+                PARSER.error(f"{path}: --dim {args.dim} does not match the channel's "
+                             f"dimension {inputs[0].dim}")
         if args.command == "evolve":
             path = args.state
             inputs.append(state_from_json(_read_json(path)))

@@ -13,15 +13,16 @@ from .linalg import assert_density_matrix, von_neumann_entropy
 DEFAULT_INCOHERENCE_TOL = 1e-9
 
 
-def c_l1(rho: np.ndarray) -> float:
+def c_l1(rho: np.ndarray) -> float | np.ndarray:
     """l1 norm of coherence: sum of |rho_ij| over off-diagonal entries.
 
     Ranges from 0 (diagonal states) to d - 1 (maximally coherent states).
+    One d x d matrix gives a float, a (b, d, d) batch an array of b values.
     """
-    rho = np.asarray(rho, dtype=complex)
-    mags = np.abs(rho)
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.sum())
+    mags = np.abs(np.asarray(rho, dtype=complex))
+    diag = np.arange(min(mags.shape[-2:]))
+    mags[..., diag, diag] = 0.0
+    return float(mags.sum()) if mags.ndim == 2 else mags.sum(axis=(-2, -1))
 
 
 def dephase(rho: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ empirical frequencies against the bounds.
 Channels may be passed either as a single KrausChannel or as a sequence of
 KrausChannel tensor factors (left to right), applied leg by leg through each
 leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
-through its Kraus stack in one GEMM, w = K psi, and never build the d^4
-transfer matrix; a rank-1 channel gives c_l1 = (sum |w|)^2 - sum |w|^2
-directly; a product forms |psi><psi| in leg-pair order and runs the legs
-in two alternating buffers. Samples run in chunks sized so that everything
-a chunk holds at once fits the `_CHUNK_BYTES` byte budget.
+through its (n_ops, d, d) `kraus_ops` array in one GEMM, w = K psi, and
+never build the d^4 transfer matrix; a rank-1 channel gives
+c_l1 = (sum |w|)^2 - sum |w|^2 directly; a product forms |psi><psi| in
+leg-pair order and runs the legs in two alternating buffers. Samples run in
+chunks sized so that everything a chunk holds at once fits the
+`_CHUNK_BYTES` byte budget, and `coherence.c_l1` reads each chunk's outputs
+as one batch.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import KrausChannel
+from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
 from .states import haar_random_kets
 
@@ -141,12 +144,6 @@ def _apply_legs(factors: list[KrausChannel], pairs: np.ndarray) -> np.ndarray:
     return out.reshape(b, d, d)
 
 
-def _c_l1_batch(rhos: np.ndarray) -> np.ndarray:
-    mags = np.abs(rhos)
-    mags[:, np.arange(mags.shape[1]), np.arange(mags.shape[2])] = 0.0
-    return mags.sum(axis=(1, 2))
-
-
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterOutOfRangeError(f"need seed >= 0, got {seed}")
@@ -174,7 +171,7 @@ def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
                           kets.conj().reshape(b, *dims), [0, *range(n + 1, 2 * n + 1)],
                           _pair_order(n))
         return _apply_legs(factors, pairs)
-    kstack = np.stack(factors[0].kraus_ops)
+    kstack = factors[0].kraus_ops
     m, d, _ = kstack.shape
     w = (kets @ kstack.reshape(m * d, d).T).reshape(b, m, d)
     return w.transpose(0, 2, 1) @ w.conj()
@@ -191,7 +188,7 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
     step = _chunk(_sample_entries(factors, d))
     out = np.empty(samples)
     for start in range(0, samples, step):
-        out[start:start + step] = _c_l1_batch(_pure_outputs(factors, kets[start:start + step]))
+        out[start:start + step] = c_l1(_pure_outputs(factors, kets[start:start + step]))
     return out
 
 

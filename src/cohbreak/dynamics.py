@@ -13,15 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    QubitAffine,
-    _pauli_transfer,
-    apply,
-    choi_to_kraus,
-    kraus_to_choi,
-)
-from .classifiers import DEFAULT_TOL, is_incoherent_kraus
+from .channels import KrausChannel, QubitAffine, _pauli_transfer, apply
+from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
     DimensionMismatchError,
@@ -64,16 +57,13 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
     Returns "given" or "canonical"; raises NotIncoherentChannelError with
     the pattern witness when neither decomposition certifies.
     """
-    ok, witness = is_incoherent_kraus(channel, tol)
-    if ok:
-        return "given"
-    canonical = choi_to_kraus(kraus_to_choi(channel))
-    ok, witness_c = is_incoherent_kraus(canonical, tol)
-    if ok:
-        return "canonical"
-    raise NotIncoherentChannelError(
-        f"no incoherent Kraus pattern found (given: {witness}, canonical: {witness_c})"
-    )
+    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol)
+    if decomposition is None:
+        raise NotIncoherentChannelError(
+            "no incoherent Kraus pattern found "
+            f"(given: {witnesses['given']}, canonical: {witnesses['canonical']})"
+        )
+    return decomposition
 
 
 def _first_breaking_power(t: np.ndarray, rows, cap: int, tol: float) -> IndexResult:

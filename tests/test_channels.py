@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohbreak.channels import (
+    KrausChannel,
     QubitAffine,
     affine_from_kraus,
     affine_iterate,
@@ -626,6 +627,71 @@ def test_transfer_matrix_is_cached_and_read_only():
     assert ch.transfer is ch.transfer
     with pytest.raises(ValueError):
         ch.transfer[0, 0] = 1.0
+
+
+# --- the Kraus array -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("channel", [
+    gad_channel(0.7, 0.4),
+    random_incoherent_channel(3, np.random.default_rng(52)),
+    make_channel([[[1, 0], [0, 1]]]),
+    KrausChannel(dim=2, kraus_ops=(np.eye(2),)),
+    channel_from_json(channel_to_json(partial_dephasing_channel(4, 0.5))),
+], ids=["gad", "incoherent", "int-list", "direct-tuple", "sparse-file"])
+def test_kraus_ops_is_one_read_only_complex_array(channel):
+    k = channel.kraus_ops
+    assert isinstance(k, np.ndarray) and k.dtype == complex
+    assert k.shape == (channel.n_ops, channel.dim, channel.dim)
+    with pytest.raises(ValueError):
+        k[0, 0, 0] = 2.0
+
+
+def test_make_channel_copies_its_input():
+    ops = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+    stack = np.array(ops)
+    from_list, from_array = make_channel(ops), make_channel(stack)
+    ops[0][0, 0] = 5.0
+    ops[1][...] = 7.0
+    ops.append(np.eye(2))
+    stack[...] = 9.0
+    for channel in (from_list, from_array):
+        np.testing.assert_array_equal(channel.kraus_ops, [np.eye(2), np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("ops, dim", [
+    ([np.eye(2), np.eye(3)], None),
+    ([np.eye(2)], 3),
+    ([np.ones(2)], None),
+    (np.zeros((1, 2, 3)), None),
+], ids=["mixed-sizes", "declared-dim", "vector", "non-square-array"])
+def test_wrong_shaped_operator_is_a_dimension_mismatch(ops, dim):
+    with pytest.raises(DimensionMismatchError):
+        make_channel(ops, dim=dim)
+
+
+def test_kraus_array_products_match_the_loops():
+    rng = np.random.default_rng(53)
+    a, b = random_channel(3, 2, rng), random_channel(3, 3, rng)
+    np.testing.assert_array_equal(kron_channel(a, b).kraus_ops,
+                                  [np.kron(x, y) for x in a.kraus_ops for y in b.kraus_ops])
+    products = [x @ y for x in a.kraus_ops for y in b.kraus_ops]
+    assert np.abs(compose(a, b).kraus_ops - products).max() <= 1e-15
+    choi = kraus_to_choi(a)
+    w, v = np.linalg.eigh(choi.matrix)
+    loop = [np.sqrt(3 * lam) * v[:, i].reshape(3, 3) for i, lam in enumerate(w) if lam > 1e-10]
+    np.testing.assert_array_equal(choi_to_kraus(choi).kraus_ops, loop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), n_ops=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_the_einsum_oracle(d, n_ops, seed):
+    rng = np.random.default_rng(seed)
+    channel = random_channel(d, n_ops, rng)
+    rho = random_density_matrix(d, rng)
+    k = channel.kraus_ops
+    expected = np.einsum("nij,jk,nlk->il", k, rho, k.conj())
+    assert np.abs(apply(channel, rho) - expected).max() <= 1e-14
 
 
 # --- non-finite input ----------------------------------------------------------

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohbreak import channels
 from cohbreak.channels import (
     QubitAffine,
     affine_from_kraus,
@@ -29,6 +32,8 @@ from cohbreak.classifiers import (
     is_scbc,
     is_sio,
 )
+from cohbreak.dynamics import coherence_breaking_index, factorization_check
+from cohbreak.states import from_bloch
 from conftest import (
     HADAMARD,
     cbc_by_phase_sweep,
@@ -215,6 +220,42 @@ def test_classify_retries_with_canonical_decomposition():
     assert report.verdicts["scbc"] == "yes"
     assert report.verdicts["cbc"] == "yes"
     assert not ok_given or report.evidence["incoherent"]["decomposition"] == "given"
+
+
+def count_extractions(monkeypatch) -> list:
+    """Count `choi_to_kraus` calls, patched in every cohbreak module that holds it."""
+    calls = []
+    original = channels.choi_to_kraus
+
+    def counting(choi):
+        calls.append(choi.dim)
+        return original(choi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohbreak") and getattr(module, "choi_to_kraus", None) is original:
+            monkeypatch.setattr(module, "choi_to_kraus", counting)
+    return calls
+
+
+def test_classify_never_extracts_when_the_given_set_passes(monkeypatch):
+    calls = count_extractions(monkeypatch)
+    report = classify(dephasing_channel(4))
+    assert {report.evidence[name]["decomposition"] for name in ("incoherent", "sio", "scbc")} \
+        == {"given"}
+    assert calls == []
+
+
+def test_canonical_set_is_extracted_once_per_channel(monkeypatch):
+    # Amplitude damping with its two Kraus operators mixed: the given set
+    # fails the incoherent pattern, the canonical set passes it.
+    k0, k1 = gad_channel(0.6, 1.0).kraus_ops
+    mixed = make_channel([(k0 + k1) / np.sqrt(2.0), (k0 - k1) / np.sqrt(2.0)], dim=2)
+    calls = count_extractions(monkeypatch)
+    assert classify(mixed).evidence["incoherent"]["decomposition"] == "canonical"
+    assert coherence_breaking_index(mixed, cap=4).exceeded
+    assert factorization_check(from_bloch(np.array([0.3, 0.5, 0.2])), mixed).certification \
+        == "incoherent-kraus"
+    assert calls == [2]
 
 
 def test_classify_report_round_trip():

@@ -284,6 +284,24 @@ def test_concentrate_dim_channel_mismatch_is_usage_error(files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("classify", []),
+    ("index", []),
+    ("evolve", ["--steps", "2"]),
+    ("concentrate", ["--samples", "10", "--seed", "1", "--eps", "0.1"]),
+])
+def test_dim_other_than_the_channel_files_is_usage_error(files, capsys, command, extra):
+    argv = [command, "--channel", str(files["gad"]), *extra]
+    if command == "evolve":
+        argv += ["--state", str(files["state"])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dim", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{files['gad']}: --dim 7 does not match" in err
+    assert main(argv + ["--dim", "2", "--out", str(files["tmp"] / "out.txt")]) == 0
+
+
 def test_concentrate_negative_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["concentrate", "--dim", "4", "--samples", "10", "--seed", "-1",

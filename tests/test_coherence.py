@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohbreak.channels import apply
 from cohbreak.classifiers import is_incoherent_kraus
@@ -30,6 +32,20 @@ def test_c_l1_bounds_on_samples():
         for _ in range(20):
             value = c_l1(random_density_matrix(d, rng))
             assert -1e-12 <= value <= d - 1 + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 6), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_c_l1_of_a_batch_is_the_per_state_values_bit_for_bit(b, d, seed):
+    rng = np.random.default_rng(seed)
+    rhos = rng.normal(size=(b, d, d)) + 1j * rng.normal(size=(b, d, d))
+    before = rhos.copy()
+    batch = c_l1(rhos)
+    singles = [c_l1(rho) for rho in rhos]
+    assert all(type(value) is float for value in singles)
+    assert isinstance(batch, np.ndarray) and batch.shape == (b,)
+    assert batch.tolist() == singles
+    np.testing.assert_array_equal(rhos, before)
 
 
 def test_relative_entropy_of_diagonal_states():

@@ -24,6 +24,7 @@ from cohbreak.channels import (
 from cohbreak.classifiers import is_cbc, is_cbc_affine
 from cohbreak.coherence import c_l1
 from cohbreak.dynamics import (
+    certify_incoherent,
     coherence_breaking_index,
     coherence_breaking_index_affine,
     evolve,
@@ -78,6 +79,12 @@ def test_index_of_gad_exceeds_cap():
 def test_index_requires_incoherent_certification():
     with pytest.raises(NotIncoherentChannelError):
         coherence_breaking_index(rotated_dephasing_channel())
+
+
+def test_not_incoherent_error_names_both_witnesses():
+    with pytest.raises(NotIncoherentChannelError,
+                       match=r"given: \{'operator'.*'residual'.*\}, canonical: \{'operator'.*'residual'"):
+        certify_incoherent(rotated_dephasing_channel())
 
 
 def test_index_cap_validation():
