@@ -33,8 +33,9 @@ from .errors import (
     NotTracePreservingError,
     ParameterOutOfRangeError,
 )
-from .linalg import PAULIS, TOL_HERM, TOL_PSD, hermiticity_defect, partial_trace, require_finite
-from .states import complex_matrix_from_json, complex_matrix_to_json, json_parser
+from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_shape, hermiticity_defect,
+                     partial_trace, require_finite)
+from .states import _wire_dim, complex_matrix_from_json, complex_matrix_to_json, json_parser
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
 RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
@@ -57,10 +58,8 @@ class KrausChannel:
         d, ops = self.dim, [np.asarray(k, dtype=complex) for k in self.kraus_ops]
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"Kraus operator of shape {k.shape} in a dim-{d} channel")
+        for n, k in enumerate(ops):
+            _require_shape(k, (d, d), f"Kraus operator {n}")
         stack = np.array(ops)
         stack.flags.writeable = False
         object.__setattr__(self, "kraus_ops", stack)
@@ -104,11 +103,7 @@ class ChoiMatrix:
 
     def __post_init__(self) -> None:
         d = self.dim
-        if self.matrix.shape != (d * d, d * d):
-            raise DimensionMismatchError(
-                f"Choi matrix of a dim-{d} channel must be {d * d}x{d * d}, "
-                f"got {self.matrix.shape}"
-            )
+        _require_shape(self.matrix, (d * d, d * d), "Choi matrix")
         require_finite(self.matrix, "Choi matrix")
         if hermiticity_defect(self.matrix) > TOL_HERM:
             raise NotPSDError("Choi matrix is not Hermitian within tolerance")
@@ -136,10 +131,8 @@ class QubitAffine:
     shift: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.asarray(self.m).shape != (3, 3):
-            raise DimensionMismatchError("m must be 3x3")
-        if np.asarray(self.shift).shape != (3,):
-            raise DimensionMismatchError("shift must be a 3-vector")
+        _require_shape(np.asarray(self.m), (3, 3), "m")
+        _require_shape(np.asarray(self.shift), (3,), "shift")
         require_finite(self.m, "m")
         require_finite(self.shift, "shift")
 
@@ -147,10 +140,7 @@ class QubitAffine:
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n^dag. Linear; rho may be any matrix of matching size."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match channel dimension {channel.dim}"
-        )
+    _require_shape(rho, (channel.dim, channel.dim), "rho")
     k = channel.kraus_ops
     return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
@@ -199,9 +189,7 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     Choi matrix to within the PSD tolerance.
     """
     d = choi.dim
-    w, v = np.linalg.eigh(choi.matrix)
-    if w.min() < -TOL_PSD:
-        raise NotPSDError(f"Choi matrix has eigenvalue {w.min():.3e}")
+    w, v = np.linalg.eigh(choi.matrix)  # PSD already checked by ChoiMatrix
     keep = w > RANK_CUTOFF
     return make_channel((np.sqrt(d * w[keep]) * v[:, keep]).T.reshape(-1, d, d), dim=d)
 
@@ -410,16 +398,14 @@ def random_povm(d: int, n_effects: int, rng: np.random.Generator) -> list[np.nda
     return [inv_sqrt @ b @ inv_sqrt for b in blocks]
 
 
-def random_incoherent_channel(
-    d: int, rng: np.random.Generator, n_components: int = 3
-) -> KrausChannel:
+def random_incoherent_channel(d: int, rng: np.random.Generator) -> KrausChannel:
     """Random channel with an explicitly incoherent Kraus pattern.
 
-    Convex mixture of diagonal-unitary, permutation, partial-dephasing and
-    measure-and-prepare pieces; every Kraus operator has at most one nonzero
-    entry per column, so the mixture is incoherent by construction.
+    Convex mixture of three diagonal-unitary, permutation, partial-dephasing
+    or measure-and-prepare pieces; every Kraus operator has at most one
+    nonzero entry per column, so the mixture is incoherent by construction.
     """
-    weights = rng.dirichlet(np.ones(n_components))
+    weights = rng.dirichlet(np.ones(3))
     ops: list[np.ndarray] = []
     for w in weights:
         kind = rng.integers(0, 4)
@@ -471,11 +457,9 @@ def channel_to_json(channel: KrausChannel) -> dict:
     return {"dim": d, "sparse": sparse}
 
 
-def _sparse_kraus(d, ops) -> np.ndarray:
+def _sparse_kraus(d: int, ops) -> np.ndarray:
     """Dense (n_ops, d, d) Kraus array from the sparse form, allocated only after every
     entry is checked and every column has one (else it cannot be CPTP)."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f'the sparse form needs "dim" a positive integer, got {d!r}')
     if not isinstance(ops, list) or not all(isinstance(op, list) for op in ops):
         raise ValueError('"sparse" must be a list of entry lists, one per Kraus operator')
     index, values = [], []
@@ -514,14 +498,13 @@ def channel_from_json(obj: dict) -> KrausChannel:
         )
     key = present[0]
     if key == "sparse":
-        return make_channel(_sparse_kraus(obj.get("dim"), obj["sparse"]), dim=obj["dim"])
+        d = _wire_dim(obj)
+        if d is None:
+            raise ValueError('the sparse form needs "dim"')
+        return make_channel(_sparse_kraus(d, obj["sparse"]), dim=d)
     if key == "kraus":
-        ops = [complex_matrix_from_json(k) for k in obj["kraus"]]
-        channel = make_channel(ops)
-        if "dim" in obj and int(obj["dim"]) != channel.dim:
-            raise ValueError(
-                f'"dim" = {obj["dim"]} does not match Kraus size {channel.dim}'
-            )
+        channel = make_channel([complex_matrix_from_json(k) for k in obj["kraus"]])
+        _wire_dim(obj, channel.dim)
         return channel
     if key == "affine":
         form = obj["affine"]

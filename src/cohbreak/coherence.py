@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import assert_density_matrix, von_neumann_entropy
+from .linalg import von_neumann_entropy
 
 DEFAULT_INCOHERENCE_TOL = 1e-9
 
@@ -33,9 +33,8 @@ def dephase(rho: np.ndarray) -> np.ndarray:
 
 def c_relative_entropy(rho: np.ndarray) -> float:
     """Relative entropy of coherence S(Delta(rho)) - S(rho), in bits."""
-    assert_density_matrix(rho)
-    value = von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
-    return max(value, 0.0)
+    entropy = von_neumann_entropy(rho)  # validates rho before it is dephased
+    return max(von_neumann_entropy(dephase(rho)) - entropy, 0.0)
 
 
 def is_incoherent_state(rho: np.ndarray, tol: float = DEFAULT_INCOHERENCE_TOL) -> bool:

@@ -74,8 +74,9 @@ def lipschitz_scaled_l1(d: int) -> float:
     return d / (d - 1.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at z = 3 standard errors."""
+    z = 3.0
     if trials < 1:
         raise ParameterOutOfRangeError(f"need trials >= 1, got {trials}")
     p_hat = successes / trials

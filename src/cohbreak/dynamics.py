@@ -8,6 +8,7 @@ coherence of a probe state sharing the input's generalized-Bloch direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,13 +18,12 @@ from .channels import KrausChannel, QubitAffine, _pauli_transfer, apply
 from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
-    DimensionMismatchError,
     HypothesisViolatedError,
     IncoherentInputError,
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
-from .linalg import require_finite
+from .linalg import _require_shape, require_finite
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -132,10 +132,7 @@ def evolve(
     if steps < 1:
         raise ParameterOutOfRangeError(f"need steps >= 1, got {steps}")
     state = np.asarray(state, dtype=complex)
-    if state.shape != (channel.dim, channel.dim):
-        raise DimensionMismatchError(
-            f"state shape {state.shape} does not match channel dimension {channel.dim}"
-        )
+    _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
     values = [c_l1(state)]
     rho = state
@@ -167,14 +164,16 @@ class ProbeState:
 def probe_state(state: np.ndarray) -> ProbeState:
     """Probe along the source's traceless direction, normalized to unit coherence.
 
-    Raises NonFiniteError on a NaN or infinite entry, and IncoherentInputError
-    when the source has no traceless component or no off-diagonal component
-    (c_l1(rho_0) would divide by zero).
+    Raises DimensionMismatchError unless the source is square, NonFiniteError
+    on a NaN or infinite entry, and IncoherentInputError when the source has
+    no traceless component or no off-diagonal component (c_l1(rho_0) would
+    divide by zero).
     """
     h = np.asarray(state, dtype=complex)
+    d = math.isqrt(h.size)  # the side of a square array of that size
+    _require_shape(h, (d, d), "state")
     require_finite(h, "state")
     h = (h + h.conj().T) / 2
-    d = h.shape[0]
     rho_0 = h - np.trace(h).real / d * np.eye(d)
     norm = float(np.linalg.norm(rho_0))
     if norm == 0.0:
@@ -205,16 +204,10 @@ def factorization_check(
     certificate held or only the diagonal-fixed-point hypothesis.
     """
     state = np.asarray(state, dtype=complex)
-    if state.shape != (channel.dim, channel.dim):
-        raise DimensionMismatchError(
-            f"state shape {state.shape} does not match channel dimension {channel.dim}"
-        )
+    _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
-    try:
-        certify_incoherent(channel, tol)
-        certification = "incoherent-kraus"
-    except NotIncoherentChannelError:
-        certification = "diagonal-fixed-point"
+    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol)
+    certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
     mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)
     if not is_incoherent_state(mixed_image, tol):
         raise HypothesisViolatedError(

@@ -8,6 +8,7 @@ generalized Gell-Mann generator basis of su(d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,12 @@ def require_finite(a, what: str) -> None:
         raise NonFiniteError(f"{what} has a NaN or infinite entry")
 
 
+def _require_shape(a: np.ndarray, shape: tuple, what: str) -> None:
+    """Raise DimensionMismatchError unless the array a has exactly the given shape."""
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {a.shape}, expected {shape}")
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max-abs deviation of a from its conjugate transpose."""
     a = np.asarray(a)
@@ -52,8 +59,7 @@ def hermitian_eigendecomposition(
     Raises NotHermitianError if the Hermiticity defect exceeds tol.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    _require_shape(a, (math.isqrt(a.size),) * 2, "matrix a")  # square, of its size
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
@@ -69,8 +75,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    _require_shape(sigma, rho.shape, "sigma")
     return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
@@ -115,10 +120,7 @@ def partial_transpose(mat: np.ndarray, d: int) -> np.ndarray:
     An involution: applying it twice returns the input.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (d * d, d * d):
-        raise DimensionMismatchError(
-            f"expected shape {(d * d, d * d)} for local dimension {d}, got {mat.shape}"
-        )
+    _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     return t.transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
@@ -129,10 +131,7 @@ def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
     keep=0 keeps the first tensor factor, keep=1 the second.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (d * d, d * d):
-        raise DimensionMismatchError(
-            f"expected shape {(d * d, d * d)} for local dimension {d}, got {mat.shape}"
-        )
+    _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     if keep == 0:
         return np.einsum("ikjk->ij", t)

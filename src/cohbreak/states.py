@@ -12,20 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlochOutOfBallError,
-    DimensionMismatchError,
-    InvalidDimensionError,
-    NotDensityMatrixError,
-)
-from .linalg import PAULIS, HermitianBasis, assert_density_matrix, require_finite
+from .errors import BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError
+from .linalg import PAULIS, HermitianBasis, _require_shape, assert_density_matrix, require_finite
 
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
     """Qubit density matrix (I + r.sigma)/2 for a Bloch vector |r| <= 1."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise DimensionMismatchError(f"Bloch vector must have 3 components, got {r.shape}")
+    _require_shape(r, (3,), "Bloch vector r")
     require_finite(r, "Bloch vector")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-12:
@@ -39,8 +33,7 @@ def from_bloch(r: np.ndarray) -> np.ndarray:
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch coordinates (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z])."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 matrix, got {rho.shape}")
+    _require_shape(rho, (2, 2), "rho")
     return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
 
 
@@ -54,8 +47,7 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
     if thetas is None:
         thetas = np.zeros(d)
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (d,):
-        raise DimensionMismatchError(f"need {d} phases, got shape {thetas.shape}")
+    _require_shape(thetas, (d,), "thetas")
     psi = np.exp(1j * thetas) / np.sqrt(d)
     return np.outer(psi, psi.conj())
 
@@ -102,10 +94,7 @@ def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedB
     """Expand rho = I/d + (1/2) sum_i x_i L_i and split x into chi * n."""
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(
-            f"state of shape {rho.shape} does not match basis dimension {d}"
-        )
+    _require_shape(rho, (d, d), "rho")
     coords = np.array([np.trace(rho @ g).real for g in basis.generators])
     chi = float(np.linalg.norm(coords))
     unit = coords / chi if chi > 0.0 else None
@@ -116,10 +105,7 @@ def from_generalized_bloch(coords: np.ndarray, basis: HermitianBasis) -> np.ndar
     """Inverse of to_generalized_bloch: I/d + (1/2) sum_i x_i L_i."""
     coords = np.asarray(coords, dtype=float)
     d = basis.dim
-    if coords.shape != (d * d - 1,):
-        raise DimensionMismatchError(
-            f"need {d * d - 1} coordinates, got shape {coords.shape}"
-        )
+    _require_shape(coords, (d * d - 1,), "coords")
     rho = np.eye(d, dtype=complex) / d
     for x, g in zip(coords, basis.generators):
         rho += 0.5 * x * g
@@ -148,6 +134,19 @@ def json_parser(parse):
     return wrapped
 
 
+def _wire_dim(obj: dict, size: int | None = None) -> int | None:
+    """The optional "dim" of a wire form: a JSON integer >= 1 (not a bool) that
+    equals size, the form's matrix size, when one is given. None when absent."""
+    if "dim" not in obj:
+        return None
+    d = obj["dim"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f'"dim" must be a positive integer, got {d!r}')
+    if size is not None and d != size:
+        raise ValueError(f'"dim" = {d} does not match matrix size {size}')
+    return d
+
+
 @json_parser
 def complex_matrix_from_json(data: list) -> np.ndarray:
     try:
@@ -171,8 +170,7 @@ def state_from_json(obj: dict) -> np.ndarray:
     if "matrix" not in obj:
         raise ValueError('state JSON needs a "matrix" or "bloch" key')
     rho = complex_matrix_from_json(obj["matrix"])
-    if "dim" in obj and int(obj["dim"]) != rho.shape[0]:
-        raise ValueError(f'"dim" = {obj["dim"]} does not match matrix size {rho.shape[0]}')
+    _wire_dim(obj, len(rho))
     try:
         assert_density_matrix(rho)
     except NotDensityMatrixError as exc:

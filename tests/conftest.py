@@ -181,6 +181,11 @@ def dense_channel_json(channel: KrausChannel) -> dict:
     return {"dim": channel.dim, "kraus": [complex_matrix_to_json(k) for k in channel.kraus_ops]}
 
 
+# "dim" values that are not a JSON integer equal to a 2x2 matrix's size: every
+# wire form that reads "dim" rejects them (ValueError, CLI exit 2).
+BAD_DIMS = {"dim-float": 2.0, "dim-fraction": 2.9, "dim-string": "2", "dim-bool": True}
+
+
 # Sparse files that are each malformed in one way: the library raises
 # ValueError and the CLI exits 2. The good base is the dephasing channel
 # [[[0, 0, 1, 0]], [[1, 1, 1, 0]]]; a wrapped negative index would make

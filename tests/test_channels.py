@@ -44,7 +44,7 @@ from cohbreak.states import (
     from_bloch,
     maximally_coherent,
 )
-from conftest import MALFORMED_SPARSE, dense_channel_json, random_density_matrix
+from conftest import BAD_DIMS, MALFORMED_SPARSE, dense_channel_json, random_density_matrix
 
 
 def matrix_units(d):
@@ -500,8 +500,9 @@ def test_channel_json_dispatch_errors():
     {"gad": {"p": 10**400, "t": 0.5}},
     {"gad": 3},
     {"povm": [[[[1.0, None]]]]},
+    *({**dense_channel_json(dephasing_channel(2)), "dim": dim} for dim in BAD_DIMS.values()),
 ], ids=["dim-null", "dim-infinity", "kraus-int", "entry-overflow", "gad-p-null",
-        "gad-p-overflow", "gad-int", "povm-entry-null"])
+        "gad-p-overflow", "gad-int", "povm-entry-null", *BAD_DIMS])
 def test_channel_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         channel_from_json(obj)

@@ -344,9 +344,14 @@ GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
     ("--state", {"bloch": [0.1, 0.2]}),
     ("--state", {**state_to_json(np.eye(2) / 2), "dim": None}),
     ("--state", {"bloch": [float("nan"), 0.0, 0.0]}),
+    ("--channel", {**GOOD_KRAUS, "dim": 2.0}),
+    ("--channel", {**GOOD_KRAUS, "dim": "2"}),
+    ("--state", {**state_to_json(np.eye(2) / 2), "dim": 2.0}),
+    ("--state", {**state_to_json(np.eye(2) / 2), "dim": "2"}),
     *(("--channel", obj) for obj in MALFORMED_SPARSE.values()),
 ], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
         "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan",
+        "dim-float", "dim-string", "matrix-dim-float", "matrix-dim-string",
         *(f"sparse-{name}" for name in MALFORMED_SPARSE)])
 def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
     path = files["tmp"] / "malformed.json"

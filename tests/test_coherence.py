@@ -6,8 +6,19 @@ from hypothesis import strategies as st
 from cohbreak.channels import apply
 from cohbreak.classifiers import is_incoherent_kraus
 from cohbreak.coherence import c_l1, c_relative_entropy, dephase, is_incoherent_state
+from cohbreak.errors import NonFiniteError, NotDensityMatrixError
 from cohbreak.states import from_bloch, maximally_coherent
 from conftest import random_density_matrix
+
+
+@pytest.mark.parametrize("rho, error", [
+    (np.eye(2), NotDensityMatrixError),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), NotDensityMatrixError),
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), NonFiniteError),
+], ids=["trace-2", "non-hermitian", "nan"])
+def test_relative_entropy_rejects_a_non_density_matrix(rho, error):
+    with pytest.raises(error):
+        c_relative_entropy(rho)
 
 
 def test_c_l1_of_diagonal_states():

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -339,6 +340,17 @@ def test_non_finite_state_is_rejected(call, entry):
     state[0, 1] = entry
     with pytest.raises(NonFiniteError):
         call(state)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), ()])
+@pytest.mark.parametrize("call", [
+    probe_state,
+    lambda state: factorization_check(state, partial_dephasing_channel(2, 0.4)),
+    lambda state: evolve(state, partial_dephasing_channel(2, 0.4), steps=3),
+], ids=["probe_state", "factorization_check", "evolve"])
+def test_non_square_state_is_a_dimension_mismatch(call, shape):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"state has shape {shape},")):
+        call(np.full(shape, 0.25))
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,7 +22,7 @@ from cohbreak.states import (
     state_to_json,
     to_generalized_bloch,
 )
-from conftest import random_density_matrix
+from conftest import BAD_DIMS, random_density_matrix
 
 
 def test_from_bloch_center_is_maximally_mixed():
@@ -194,7 +194,8 @@ MIXED = state_to_json(np.eye(2) / 2)
     {**MIXED, "dim": [2]},
     {"bloch": {"x": 0.1}},
     {"matrix": [[[10**400, 0.0]]]},
-], ids=["dim-null", "dim-infinity", "dim-list", "bloch-object", "entry-overflow"])
+    *({**MIXED, "dim": dim} for dim in BAD_DIMS.values()),
+], ids=["dim-null", "dim-infinity", "dim-list", "bloch-object", "entry-overflow", *BAD_DIMS])
 def test_state_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         state_from_json(obj)
