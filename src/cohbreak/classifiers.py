@@ -3,10 +3,9 @@
 Classes and their decision procedures:
 
 * incoherent / SIO / SCBC -- sparsity-pattern tests on a concrete Kraus
-  decomposition. Membership can depend on the decomposition, so a test
-  that fails on the given set is retried, in one helper that ``classify``
-  and ``dynamics.certify_incoherent`` share, on the channel's cached
-  canonical Choi-extracted set before the verdict is "no".
+  decomposition, on which membership can depend: a test failing on the given
+  set is retried on the cached canonical Choi-extracted set before the verdict
+  is "no", unless (in ``classify``) a failing MIO, DIO or CBC test refutes it.
 * CBC / DIO -- decomposition-independent masked maxima over the images of
   the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
   the columns of the transfer matrix T.
@@ -31,7 +30,7 @@ raises InconsistentVerdictsError.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -108,15 +107,16 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
 
 
 def _unit_image_maxima(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest |off-diagonal| and |diagonal| entry of each image Phi(|i><j|),
-    as (d, d) arrays over (i, j) read off a transfer matrix. Phi(|j><i|) is
-    the adjoint of Phi(|i><j|), so both arrays are symmetrized: the tie is
-    exact and the first largest unit in (i, j) order has i <= j."""
+    """CBC and DIO residuals of each image Phi(|i><j|) as (d, d) arrays over (i, j) read
+    off a transfer matrix: the largest |off-diagonal| entry, and for i != j the largest
+    |diagonal| entry instead. Phi(|j><i|) is the adjoint of Phi(|i><j|), so both arrays
+    are symmetrized: the tie is exact and the first largest unit has i <= j."""
     mags = np.abs(t).reshape(d, d, d, d)  # [u, v, i, j]
     diag = np.arange(d)
     on = mags[diag, diag].max(axis=0)
     mags[diag, diag] = 0.0
     off = mags.max(axis=(0, 1))
+    on[diag, diag] = off[diag, diag]  # DIO needs Phi(|i><i|) diagonal
     return np.maximum(off, off.T), np.maximum(on, on.T)
 
 
@@ -136,8 +136,7 @@ def is_cbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Decomposition independent. Returns (ok, witness) with the offending
     unit (i, j) and the largest off-diagonal residual.
     """
-    off, _ = _unit_image_maxima(channel.transfer, channel.dim)
-    return _unit_verdict(off, tol)
+    return _unit_verdict(_unit_image_maxima(channel.transfer, channel.dim)[0], tol)
 
 
 def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
@@ -155,8 +154,7 @@ def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Concretely: Phi(|i><i|) must be diagonal and Phi(|i><j|), i != j, must
     have zero diagonal.
     """
-    off, on = _unit_image_maxima(channel.transfer, channel.dim)
-    return _unit_verdict(np.where(np.eye(channel.dim, dtype=bool), off, on), tol)
+    return _unit_verdict(_unit_image_maxima(channel.transfer, channel.dim)[1], tol)
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +234,8 @@ class ClassificationReport:
     evidence: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        evidence = {k: dict(v) for k, v in self.evidence.items()}
+        return {"tolerance": self.tolerance, "verdicts": dict(self.verdicts), "evidence": evidence}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
@@ -251,13 +250,13 @@ _PATTERN_PREDICATES = {
 }
 
 
-def _given_or_canonical(predicate, channel: KrausChannel, tol: float):
-    """A pattern predicate on the given Kraus set, then, only if that fails,
-    on the canonical set. Returns the set that passed ("given", "canonical"
-    or None) and the witness of each set tested, by name."""
+def _given_or_canonical(predicate, channel: KrausChannel, tol: float, refuted: bool = False):
+    """A pattern predicate on the given Kraus set, then, only if that fails and the
+    class is not `refuted`, on the canonical set. Returns the set that passed
+    ("given", "canonical" or None) and the witness of each set tested, by name."""
     ok, given = predicate(channel, tol)
-    if ok:
-        return "given", {"given": given}
+    if ok or refuted:
+        return "given" if ok else None, {"given": given}
     ok, canonical = predicate(channel.canonical, tol)
     return "canonical" if ok else None, {"given": given, "canonical": canonical}
 
@@ -266,22 +265,26 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
     """Run every class predicate and assemble a consistent report.
 
     Pattern classes (incoherent, SIO, SCBC) are first tested on the given
-    Kraus set, then, if that fails, on the canonical set; CBC membership
-    additionally certifies incoherent and SCBC via the measure-and-prepare
-    form. The report is checked against the inclusion relations
-    CBC => QC => EB-not-no and SCBC = CBC before it is returned.
+    Kraus set, then, if that fails and MIO, DIO or CBC does not refute them,
+    on the canonical set; CBC membership additionally certifies incoherent
+    and SCBC via the measure-and-prepare form. The report is checked against
+    the inclusion relations CBC => QC => EB-not-no and SCBC = CBC.
     """
-    report = ClassificationReport(tolerance=tol)
+    report, d = ClassificationReport(tolerance=tol), channel.dim
+    off, dio = _unit_image_maxima(channel.transfer, d)
+    # IO in MIO, SIO in DIO, SCBC = CBC; a passing canonical set (n <= d^2) has residual <= 2 d tol
+    residual = {"incoherent": off.diagonal().max(), "sio": dio.max(), "scbc": off.max()}
 
     for name, predicate in _PATTERN_PREDICATES.items():
-        decomposition, witnesses = _given_or_canonical(predicate, channel, tol)
+        refuted = residual[name] > 2 * d * d * tol
+        decomposition, witnesses = _given_or_canonical(predicate, channel, tol, refuted)
         report.verdicts[name] = "yes" if decomposition else "no"
         witness = report.evidence[name] = witnesses[decomposition or "given"]
         witness["decomposition"] = decomposition or "given"
 
-    for name, predicate in (("cbc", is_cbc), ("dio", is_dio), ("qc", is_qc)):
-        ok, report.evidence[name] = predicate(channel, tol)
-        report.verdicts[name] = "yes" if ok else "no"
+    for name, (ok, witness) in (("cbc", _unit_verdict(off, tol)), ("dio", _unit_verdict(dio, tol)),
+                                ("qc", is_qc(channel, tol))):
+        report.verdicts[name], report.evidence[name] = "yes" if ok else "no", witness
 
     eb_verdict, eb_witness = is_entanglement_breaking(channel, tol)
     report.verdicts["entanglement_breaking"] = eb_verdict

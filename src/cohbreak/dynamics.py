@@ -20,6 +20,7 @@ from .coherence import c_l1, is_incoherent_state
 from .errors import (
     HypothesisViolatedError,
     IncoherentInputError,
+    InvalidDimensionError,
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
@@ -164,14 +165,16 @@ class ProbeState:
 def probe_state(state: np.ndarray) -> ProbeState:
     """Probe along the source's traceless direction, normalized to unit coherence.
 
-    Raises DimensionMismatchError unless the source is square, NonFiniteError
-    on a NaN or infinite entry, and IncoherentInputError when the source has
-    no traceless component or no off-diagonal component (c_l1(rho_0) would
-    divide by zero).
+    Raises DimensionMismatchError unless the source is square (InvalidDimensionError
+    if it is 0 x 0), NonFiniteError on a NaN or infinite entry, and
+    IncoherentInputError when the source has no traceless component or no
+    off-diagonal component (c_l1(rho_0) would divide by zero).
     """
     h = np.asarray(state, dtype=complex)
     d = math.isqrt(h.size)  # the side of a square array of that size
     _require_shape(h, (d, d), "state")
+    if d < 1:
+        raise InvalidDimensionError(f"need d >= 1, got {d}")
     require_finite(h, "state")
     h = (h + h.conj().T) / 2
     rho_0 = h - np.trace(h).real / d * np.eye(d)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cohbreak.channels import (
     KrausChannel,
+    _sparse_kraus,
     QubitAffine,
     affine_from_kraus,
     affine_iterate,
@@ -34,6 +35,7 @@ from cohbreak.channels import (
 from cohbreak.coherence import c_l1, is_incoherent_state
 from cohbreak.errors import (
     DimensionMismatchError,
+    InvalidDimensionError,
     NotPOVMError,
     NotPSDError,
     NotTracePreservingError,
@@ -586,6 +588,128 @@ def test_sparse_dim_without_entries_is_rejected_before_allocating():
         channel_from_json({"dim": 10**12, "sparse": [[]] * 1000})
 
 
+def loop_sparse_kraus(d, ops):
+    """Entry-by-entry reference for `_sparse_kraus`: the checks in scan order."""
+    if not isinstance(ops, list) or not all(isinstance(op, list) for op in ops):
+        raise ValueError('"sparse" must be a list of entry lists, one per Kraus operator')
+    index, values = [], []
+    for n, op in enumerate(ops):
+        seen = set()
+        for entry in op:
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ValueError(f"operator {n}: entry {entry!r} is not [i, j, re, im]")
+            i, j, re, im = entry
+            if not all(type(x) is int and 0 <= x < d for x in (i, j)):
+                raise ValueError(f"operator {n}: index ({i!r}, {j!r}) is not in [0, {d})")
+            if (i, j) in seen:
+                raise ValueError(f"operator {n}: entry ({i}, {j}) appears twice")
+            seen.add((i, j))
+            index.append((n, i, j))
+            values.append(complex(re, im))
+    columns = {j for _, _, j in index}
+    if len(columns) < d:
+        missing = next(j for j in range(d) if j not in columns)
+        raise ValueError(f"column {missing} has no entry, so the channel is not trace preserving")
+    stack = np.zeros((len(ops), d, d), dtype=complex)
+    for (n, i, j), z in zip(index, values):
+        stack[n, i, j] = z
+    return stack
+
+
+def parse_outcome(parse, d, ops):
+    """The array's bytes, or the exception's type and message."""
+    try:
+        return parse(d, ops).tobytes()
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def value_error_text(re, im):
+    try:
+        complex(re, im)
+    except TypeError as exc:
+        return str(exc)
+
+
+SPARSE_MESSAGES = {
+    "not-a-list": ({"dim": 2, "sparse": {"0": []}},
+                   '"sparse" must be a list of entry lists, one per Kraus operator'),
+    "operator-not-a-list": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], 5]},
+                            '"sparse" must be a list of entry lists, one per Kraus operator'),
+    "short-entry": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 1.0]]]},
+                    "operator 1: entry [1, 1, 1.0] is not [i, j, re, im]"),
+    "entry-not-a-list": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], 7], [[1, 1, 1.0, 0.0]]]},
+                         "operator 0: entry 7 is not [i, j, re, im]"),
+    "index-out-of-range": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 2, 1.0, 0.0]]]},
+                           "operator 1: index (1, 2) is not in [0, 2)"),
+    "index-bool": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[True, 1, 1.0, 0.0]]]},
+                   "operator 1: index (True, 1) is not in [0, 2)"),
+    "index-float": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1.0, 1, 1.0, 0.0]]]},
+                    "operator 1: index (1.0, 1) is not in [0, 2)"),
+    "repeat": ({"dim": 2, "sparse": [[[1, 1, 1.0, 0.0]], [[0, 0, 1.0, 0.0], [0, 0, 0.0, 0.0]]]},
+               "operator 1: entry (0, 0) appears twice"),
+    "value": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, None, 0.0]]]},
+              value_error_text(None, 0.0)),
+    "missing-column": ({"dim": 3, "sparse": [[[0, 0, 1.0, 0.0], [2, 2, 1.0, 0.0]]]},
+                       "column 1 has no entry, so the channel is not trace preserving"),
+    # Indices beyond 64 bits, valid under such a "dim", are compared exactly.
+    "huge-dim-repeat": ({"dim": 2**70, "sparse": [[[2**65, 0, 1.0, 0.0], [2**65, 0, 1.0, 0.0]]]},
+                        f"operator 0: entry ({2**65}, 0) appears twice"),
+    "huge-dim-missing-column": ({"dim": 2**70, "sparse": [[[2**65, 0, 1.0, 0.0]]]},
+                                "column 1 has no entry, so the channel is not trace preserving"),
+    # Several faults: the one met first, entry by entry, is reported.
+    "value-before-index": ({"dim": 2, "sparse": [[[0, 0, "1", 0.0]], [[5, 1, 1.0, 0.0]]]},
+                           value_error_text("1", 0.0)),
+    "index-before-value": ({"dim": 2, "sparse": [[[0, 5, None, 0.0]]]},
+                           "operator 0: index (0, 5) is not in [0, 2)"),
+    "repeat-before-shape": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0], []]]},
+                            "operator 0: entry (0, 0) appears twice"),
+    "first-of-two-repeats": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0],
+                                                    [1, 1, 1.0, 0.0], [0, 0, 1.0, 0.0]]]},
+                             "operator 0: entry (1, 1) appears twice"),
+    "shape-before-index": ({"dim": 2, "sparse": [[[0, 0, 1.0]], [[9, 9, 1.0, 0.0]]]},
+                           "operator 0: entry [0, 0, 1.0] is not [i, j, re, im]"),
+    "index-before-missing-column": ({"dim": 4, "sparse": [[[0, 0, 1.0, 0.0], [0, -1, 1.0, 0.0]]]},
+                                    "operator 0: index (0, -1) is not in [0, 4)"),
+}
+
+
+@pytest.mark.parametrize("obj, message", SPARSE_MESSAGES.values(), ids=SPARSE_MESSAGES.keys())
+def test_sparse_parser_reports_the_first_fault_by_name(obj, message):
+    with pytest.raises(ValueError) as caught:
+        channel_from_json(obj)
+    assert str(caught.value) == message
+    assert parse_outcome(loop_sparse_kraus, obj["dim"], obj["sparse"])[1] == message
+
+
+SPARSE_SCALARS = st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.0, None, "0", 2**70]),
+                           st.floats(-1, 1))
+SPARSE_JUNK = st.one_of(st.lists(SPARSE_SCALARS, min_size=4, max_size=4),
+                        st.lists(SPARSE_SCALARS, max_size=5), SPARSE_SCALARS)
+SPARSE_VALUES = st.one_of(st.floats(-2, 2), st.sampled_from([-0.0, 1, True, 2**70, None, "0"]))
+
+
+@st.composite
+def sparse_forms(draw):
+    """Entries over few indices, so that repeats are common, with up to two
+    junk entries inserted, so that files often hold several faults."""
+    d = draw(st.integers(1, 3))
+    index = st.integers(0, d - 1)
+    entry = st.tuples(index, index, SPARSE_VALUES, st.floats(-2, 2)).map(list)
+    ops = draw(st.lists(st.lists(entry, max_size=6), max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if ops else 0):
+        op = draw(st.sampled_from(ops))
+        op.insert(draw(st.integers(0, len(op))), draw(SPARSE_JUNK))
+    return d, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=sparse_forms())
+def test_sparse_parser_matches_the_entry_by_entry_scan(form):
+    d, ops = form
+    assert parse_outcome(_sparse_kraus, d, ops) == parse_outcome(loop_sparse_kraus, d, ops)
+
+
 # --- transfer-matrix reshape conventions -------------------------------------
 
 
@@ -669,6 +793,15 @@ def test_make_channel_copies_its_input():
 def test_wrong_shaped_operator_is_a_dimension_mismatch(ops, dim):
     with pytest.raises(DimensionMismatchError):
         make_channel(ops, dim=dim)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_channel([np.zeros((0, 0))]),
+    lambda: KrausChannel(dim=0, kraus_ops=np.zeros((1, 0, 0))),
+], ids=["make_channel", "KrausChannel"])
+def test_zero_dimension_is_an_invalid_dimension(build):
+    with pytest.raises(InvalidDimensionError, match="need d >= 1, got 0"):
+        build()
 
 
 def test_kraus_array_products_match_the_loops():

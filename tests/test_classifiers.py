@@ -1,6 +1,8 @@
+import json
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from cohbreak.channels import (
     cbc_from_povm,
     dephasing_channel,
     gad_channel,
+    haar_unitary,
     identity_channel,
     make_channel,
     random_channel,
@@ -22,6 +25,7 @@ from cohbreak.channels import (
 )
 from cohbreak.classifiers import (
     ClassificationReport,
+    _unit_image_maxima,
     classify,
     is_cbc,
     is_cbc_affine,
@@ -256,6 +260,67 @@ def test_canonical_set_is_extracted_once_per_channel(monkeypatch):
     assert factorization_check(from_bloch(np.array([0.3, 0.5, 0.2])), mixed).certification \
         == "incoherent-kraus"
     assert calls == [2]
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: random_incoherent_channel(12, rng),
+    lambda rng: random_channel(3, 2, rng),
+], ids=["incoherent-d12", "random-d3"])
+def test_classify_refutes_without_extracting(monkeypatch, build):
+    # Neither channel is CBC, so SCBC fails on the given set; the failing CBC
+    # test refutes it without the canonical set.
+    channel = build(np.random.default_rng(7))
+    calls = count_extractions(monkeypatch)
+    report = classify(channel)
+    assert report.verdicts["cbc"] == "no" and report.verdicts["scbc"] == "no"
+    assert calls == []
+
+
+def haar_mixed(channel, rng):
+    """The same channel from its Kraus set mixed by a Haar unitary: K'_m = sum_n U_mn K_n."""
+    u = haar_unitary(channel.n_ops, rng)
+    return make_channel(np.tensordot(u, channel.kraus_ops, axes=1), dim=channel.dim)
+
+
+def random_sio_channel(d, rng):
+    """An SIO Kraus set: `sio_cbc_form` (CBC), or three phased permutation unitaries."""
+    return sio_cbc_form(d, rng) if rng.random() < 0.5 else make_channel(
+        [np.eye(d)[rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d)) / np.sqrt(3)
+         for _ in range(3)], dim=d)
+
+
+SOUNDNESS_KINDS = {
+    "incoherent": random_incoherent_channel,
+    "random": lambda d, rng: random_channel(d, int(rng.integers(1, 4)), rng),
+    "povm": lambda d, rng: cbc_from_povm(random_povm(d, d, rng)),
+    "mixed-io": lambda d, rng: haar_mixed(random_incoherent_channel(d, rng), rng),
+    "mixed-sio": lambda d, rng: haar_mixed(random_sio_channel(d, rng), rng),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(SOUNDNESS_KINDS)), d=st.integers(2, 6),
+       tol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.05]), seed=st.integers(0, 2**32 - 1))
+def test_refuting_residuals_rule_out_the_canonical_set(kind, d, tol, seed):
+    # A canonical set of n <= d^2 operators that passes a pattern test keeps
+    # the matching residual within 2 sqrt(n) tol, so above 2 d^2 tol it fails.
+    channel = SOUNDNESS_KINDS[kind](d, np.random.default_rng(seed))
+    off, dio = _unit_image_maxima(channel.transfer, d)
+    for residual, predicate in ((off.diagonal().max(), is_incoherent_kraus),
+                                (dio.max(), is_sio), (off.max(), is_scbc)):
+        if residual > 2 * d * d * tol:
+            assert not predicate(channel.canonical, tol)[0]
+
+
+def test_report_dict_is_a_copy():
+    report = classify(gad_channel(0.7, 0.4))
+    before = json.dumps(report.to_dict())
+    data = report.to_dict()
+    data["verdicts"]["cbc"] = "yes"
+    data["evidence"]["cbc"]["residual"] = -1.0
+    data["evidence"]["qc"].clear()
+    data["evidence"]["extra"] = {}
+    assert json.dumps(report.to_dict()) == before
 
 
 def test_classify_report_round_trip():

@@ -36,6 +36,7 @@ from cohbreak.errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     IncoherentInputError,
+    InvalidDimensionError,
     NonFiniteError,
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
@@ -351,6 +352,12 @@ def test_non_finite_state_is_rejected(call, entry):
 def test_non_square_state_is_a_dimension_mismatch(call, shape):
     with pytest.raises(DimensionMismatchError, match=re.escape(f"state has shape {shape},")):
         call(np.full(shape, 0.25))
+
+
+def test_empty_state_is_an_invalid_dimension():
+    # Raised before the trace is divided by d = 0 (a RuntimeWarning, an error here).
+    with pytest.raises(InvalidDimensionError, match="need d >= 1, got 0"):
+        probe_state(np.zeros((0, 0)))
 
 
 @settings(max_examples=25, deadline=None)
