@@ -334,13 +334,15 @@ def cbc_from_povm(effects) -> KrausChannel:
         raise NotPOVMError("need at least one effect")
     d = effects[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
+    eigs = []
     for i, f in enumerate(effects):
         if f.shape != (d, d):
             raise NotPOVMError(f"effect {i} has shape {f.shape}, expected {(d, d)}")
         require_finite(f, f"effect {i}")
         if hermiticity_defect(f) > TOL_HERM:
             raise NotPOVMError(f"effect {i} is not Hermitian within tolerance")
-        w_min = float(np.linalg.eigvalsh(f).min())
+        eigs.append(np.linalg.eigh(f))
+        w_min = float(eigs[-1][0].min())
         if w_min < -TOL_PSD:
             raise NotPOVMError(f"effect {i} has eigenvalue {w_min:.3e}")
         total += f
@@ -352,8 +354,7 @@ def cbc_from_povm(effects) -> KrausChannel:
         raise NotPOVMError(
             f"{len(effects)} effects cannot prepare distinct basis states in dim {d}"
         )
-    for i, f in enumerate(effects):
-        w, v = np.linalg.eigh(f)
+    for i, (w, v) in enumerate(eigs):
         for lam, phi in zip(w, v.T):
             if lam <= RANK_CUTOFF:
                 continue

@@ -3,9 +3,10 @@
 Classes and their decision procedures:
 
 * incoherent / SIO / SCBC -- sparsity-pattern tests on a concrete Kraus
-  decomposition, on which membership can depend: a test failing on the given
-  set is retried on the cached canonical Choi-extracted set before the verdict
-  is "no", unless (in ``classify``) a failing MIO, DIO or CBC test refutes it.
+  decomposition, on which membership can depend: in ``classify`` a test
+  failing on the given set is retried on the cached canonical Choi-extracted
+  set before the verdict is "no", unless a failing MIO or DIO test refutes
+  it or CBC decides it.
 * CBC / DIO -- decomposition-independent masked maxima over the images of
   the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
   the columns of the transfer matrix T.
@@ -22,10 +23,11 @@ Classes and their decision procedures:
 
 A coherence breaking channel always admits a Kraus set whose every branch
 outputs a diagonal state (take K_ik = sqrt(lambda_ik)|i><phi_ik| from the
-effects F_i = Phi^adj(|i><i|)), so the selective-breaking verdict always
-coincides with the breaking verdict at channel level; a disagreement of the
-pattern tests with that equivalence signals tolerance misconfiguration and
-raises InconsistentVerdictsError.
+effects F_i = Phi^adj(|i><i|)), so it is incoherent, and selective breaking
+coincides with breaking at channel level. That form is measure-and-prepare,
+so CBC is inside QC, which is inside EB (Horodecki, Shor & Ruskai, Rev.
+Math. Phys. 15, 629 (2003)). ``classify`` derives these verdicts from CBC
+and QC instead of testing them apart, so they hold at any tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import KrausChannel, QubitAffine, _pauli_transfer
-from .errors import InconsistentVerdictsError
 from .linalg import generalized_gell_mann
 
 DEFAULT_TOL = 1e-8
@@ -215,9 +216,12 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     pt = channel.transfer.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d) / d
     min_eig = float(np.linalg.eigvalsh(pt).min())
     witness = {"min_pt_eigenvalue": min_eig}
-    if min_eig < -tol:
-        return "no", witness
-    return "yes" if d <= 2 else "inconclusive", witness
+    return ("no" if min_eig < -tol else _ppt_pass(d)), witness
+
+
+def _ppt_pass(d: int) -> str:
+    """The EB verdict of a positive partial transpose: decisive only for d <= 2."""
+    return "yes" if d <= 2 else "inconclusive"
 
 
 @dataclass
@@ -226,7 +230,8 @@ class ClassificationReport:
 
     Evidence holds the witness dictionaries of the individual predicates,
     plus which Kraus decomposition ("given", "canonical" or "via-cbc")
-    certified the pattern classes.
+    certified the pattern classes, and ``"implied_by"`` where a verdict
+    comes from an including class rather than the class's own test.
     """
 
     tolerance: float
@@ -243,13 +248,6 @@ class ClassificationReport:
                    {k: dict(v) for k, v in data["evidence"].items()})
 
 
-_PATTERN_PREDICATES = {
-    "incoherent": is_incoherent_kraus,
-    "sio": is_sio,
-    "scbc": is_scbc,
-}
-
-
 def _given_or_canonical(predicate, channel: KrausChannel, tol: float, refuted: bool = False):
     """A pattern predicate on the given Kraus set, then, only if that fails and the
     class is not `refuted`, on the canonical set. Returns the set that passed
@@ -261,65 +259,60 @@ def _given_or_canonical(predicate, channel: KrausChannel, tol: float, refuted: b
     return "canonical" if ok else None, {"given": given, "canonical": canonical}
 
 
-def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationReport:
-    """Run every class predicate and assemble a consistent report.
+def _pattern(predicate, channel: KrausChannel, tol: float, refuted: bool, via_cbc=None):
+    """(verdict, witness) of a pattern class: the given set, else the measure-and-prepare
+    set of a CBC channel (`via_cbc` is its evidence), else the canonical set unless
+    the class is `refuted`. The witness names the decomposition that decided."""
+    decomposition, witnesses = _given_or_canonical(predicate, channel, tol,
+                                                   refuted or via_cbc is not None)
+    if decomposition is None and via_cbc is not None:
+        return "yes", dict(via_cbc)
+    witness = witnesses[decomposition or "given"]
+    witness["decomposition"] = decomposition or "given"
+    return "yes" if decomposition else "no", witness
 
-    Pattern classes (incoherent, SIO, SCBC) are first tested on the given
-    Kraus set, then, if that fails and MIO, DIO or CBC does not refute them,
-    on the canonical set; CBC membership additionally certifies incoherent
-    and SCBC via the measure-and-prepare form. The report is checked against
-    the inclusion relations CBC => QC => EB-not-no and SCBC = CBC.
+
+def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationReport:
+    """Run every class predicate and derive the class chain from CBC.
+
+    CBC and DIO are read off one pass over the matrix-unit images. A CBC
+    channel is incoherent, SCBC, QC and entanglement breaking, so:
+
+    * incoherent: the given Kraus set; else via CBC; else "no" when MIO
+      fails by more than 2 d^2 tol; else the canonical set.
+    * SIO: the given set; else "no" when DIO fails by more than 2 d^2 tol;
+      else the canonical set. A canonical set (n <= d^2) that passed would
+      keep the refuting residual within 2 d tol.
+    * SCBC: the CBC verdict, since SCBC = CBC at channel level; `is_scbc`
+      runs on the given set for the evidence only.
+    * QC: "yes" when `is_qc` or CBC says so; EB is never "no" on a QC
+      channel, and takes the passing PPT verdict instead.
+
+    Where a verdict comes from an inclusion and not from the class's own
+    test, its witness carries ``"implied_by"``, the including class.
     """
     report, d = ClassificationReport(tolerance=tol), channel.dim
     off, dio = _unit_image_maxima(channel.transfer, d)
-    # IO in MIO, SIO in DIO, SCBC = CBC; a passing canonical set (n <= d^2) has residual <= 2 d tol
-    residual = {"incoherent": off.diagonal().max(), "sio": dio.max(), "scbc": off.max()}
+    cbc_ok, cbc = _unit_verdict(off, tol)
+    via_cbc = {"decomposition": "via-cbc", "residual": cbc["residual"]} if cbc_ok else None
+    bound = 2 * d * d * tol  # IO in MIO, SIO in DIO
+    v, e = report.verdicts, report.evidence
+    v["incoherent"], e["incoherent"] = _pattern(is_incoherent_kraus, channel, tol,
+                                                off.diagonal().max() > bound, via_cbc)
+    v["sio"], e["sio"] = _pattern(is_sio, channel, tol, dio.max() > bound)
+    _, e["scbc"] = _pattern(is_scbc, channel, tol, True, via_cbc)
+    v["scbc"] = v["cbc"] = "yes" if cbc_ok else "no"
+    e["cbc"] = cbc
+    dio_ok, e["dio"] = _unit_verdict(dio, tol)
+    v["dio"] = "yes" if dio_ok else "no"
 
-    for name, predicate in _PATTERN_PREDICATES.items():
-        refuted = residual[name] > 2 * d * d * tol
-        decomposition, witnesses = _given_or_canonical(predicate, channel, tol, refuted)
-        report.verdicts[name] = "yes" if decomposition else "no"
-        witness = report.evidence[name] = witnesses[decomposition or "given"]
-        witness["decomposition"] = decomposition or "given"
-
-    for name, (ok, witness) in (("cbc", _unit_verdict(off, tol)), ("dio", _unit_verdict(dio, tol)),
-                                ("qc", is_qc(channel, tol))):
-        report.verdicts[name], report.evidence[name] = "yes" if ok else "no", witness
-
-    eb_verdict, eb_witness = is_entanglement_breaking(channel, tol)
-    report.verdicts["entanglement_breaking"] = eb_verdict
-    report.evidence["entanglement_breaking"] = eb_witness
-
-    # A breaking channel admits the selective measure-and-prepare form, so
-    # CBC membership upgrades the pattern verdicts even when neither tested
-    # decomposition exposes the pattern.
-    if report.verdicts["cbc"] == "yes":
-        for name in ("incoherent", "scbc"):
-            if report.verdicts[name] == "no":
-                report.verdicts[name] = "yes"
-                report.evidence[name] = {"decomposition": "via-cbc",
-                                         "residual": report.evidence["cbc"]["residual"]}
-
-    _assert_consistency(report)
+    qc_ok, e["qc"] = is_qc(channel, tol)
+    if cbc_ok and not qc_ok:
+        e["qc"]["implied_by"] = "cbc"
+        qc_ok = True
+    v["qc"] = "yes" if qc_ok else "no"
+    v["entanglement_breaking"], e["entanglement_breaking"] = is_entanglement_breaking(channel, tol)
+    if qc_ok and v["entanglement_breaking"] == "no":
+        v["entanglement_breaking"] = _ppt_pass(d)
+        e["entanglement_breaking"]["implied_by"] = "qc"
     return report
-
-
-def _assert_consistency(report: ClassificationReport) -> None:
-    v = report.verdicts
-    if v["scbc"] == "yes" and v["cbc"] == "no":
-        raise InconsistentVerdictsError(
-            "selective-breaking pattern found on a channel whose matrix-unit "
-            f"images are not diagonal (evidence: {report.evidence['scbc']}, "
-            f"{report.evidence['cbc']})"
-        )
-    if v["cbc"] == "yes" and v["scbc"] == "no":
-        raise InconsistentVerdictsError("breaking verdict without selective form")
-    if v["cbc"] == "yes" and v["qc"] != "yes":
-        raise InconsistentVerdictsError(
-            f"breaking channel not certified quantum-classical: {report.evidence['qc']}"
-        )
-    if v["cbc"] == "yes" and v["entanglement_breaking"] == "no":
-        raise InconsistentVerdictsError(
-            "breaking channel with NPT Choi state: "
-            f"{report.evidence['entanglement_breaking']}"
-        )

@@ -55,7 +55,3 @@ class IncoherentInputError(CohbreakError):
 
 class HypothesisViolatedError(CohbreakError):
     """Channel does not map the maximally mixed state to a diagonal state."""
-
-
-class InconsistentVerdictsError(CohbreakError):
-    """Classification verdicts violate the known inclusion relations."""

@@ -17,6 +17,7 @@ from cohbreak.channels import (
     haar_unitary,
     identity_channel,
     make_channel,
+    partial_dephasing_channel,
     random_channel,
     random_incoherent_channel,
     random_povm,
@@ -310,6 +311,64 @@ def test_refuting_residuals_rule_out_the_canonical_set(kind, d, tol, seed):
                                 (dio.max(), is_sio), (off.max(), is_scbc)):
         if residual > 2 * d * d * tol:
             assert not predicate(channel.canonical, tol)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_near_tolerance_breaking_channel_classifies(d):
+    # CBC residual 6e-9 is within tol, the largest commutator (1.2e-8) is not:
+    # QC is implied by CBC instead of contradicting it.
+    report = classify(partial_dephasing_channel(d, 6e-9))
+    assert all(report.verdicts[name] == "yes" for name in ("cbc", "scbc", "qc"))
+    assert report.evidence["qc"]["implied_by"] == "cbc"
+    assert "max_commutator" in report.evidence["qc"]
+
+
+def near_breaking_channel(d, rng, tol):
+    """A measure-and-prepare Kraus set perturbed on the scale of tol, then made
+    trace preserving again: K_n -> K_n S^(-1/2) with S = sum_n K_n^dag K_n."""
+    ops = cbc_from_povm(random_povm(d, d, rng)).kraus_ops
+    ops = ops + tol * 10 ** rng.uniform(-1, 1) * (rng.normal(size=ops.shape)
+                                                  + 1j * rng.normal(size=ops.shape))
+    w, v = np.linalg.eigh(np.einsum("nij,nik->jk", ops.conj(), ops))
+    return make_channel(ops @ (v * w ** -0.5) @ v.conj().T, dim=d)
+
+
+NEAR_TOLERANCE_KINDS = {
+    "near-measure-prepare": near_breaking_channel,
+    "near-dephasing": lambda d, rng, tol: partial_dephasing_channel(
+        d, tol * 10 ** rng.uniform(-1, 1)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(SOUNDNESS_KINDS) + sorted(NEAR_TOLERANCE_KINDS)),
+       d=st.integers(2, 5), tol=st.sampled_from([1e-8, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_classify_verdicts_respect_the_class_chain(kind, d, tol, seed):
+    rng = np.random.default_rng(seed)
+    channel = (NEAR_TOLERANCE_KINDS[kind](d, rng, tol) if kind in NEAR_TOLERANCE_KINDS
+               else SOUNDNESS_KINDS[kind](d, rng))
+    v = classify(channel, tol).verdicts
+    assert v["scbc"] == v["cbc"]
+    if v["cbc"] == "yes":
+        assert v["incoherent"] == v["scbc"] == v["qc"] == "yes"
+    if v["qc"] == "yes":
+        assert v["entanglement_breaking"] != "no"
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: dephasing_channel(4),
+    lambda rng: cbc_from_povm(random_povm(3, 3, rng)),
+], ids=["dephasing-d4", "povm-d3"])
+def test_breaking_channel_classifies_without_extracting(monkeypatch, build):
+    # The mixed set fails the SCBC pattern (and, for the POVM channel, the
+    # incoherent one); CBC decides both without the canonical set.
+    rng = np.random.default_rng(11)
+    channel = haar_mixed(build(rng), rng)
+    calls = count_extractions(monkeypatch)
+    report = classify(channel)
+    assert report.verdicts["scbc"] == "yes"
+    assert report.evidence["scbc"]["decomposition"] == "via-cbc"
+    assert calls == []
 
 
 def test_report_dict_is_a_copy():
