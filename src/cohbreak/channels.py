@@ -36,7 +36,8 @@ from .errors import (
 )
 from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_shape, hermiticity_defect,
                      partial_trace, require_finite)
-from .states import _wire_dim, complex_matrix_from_json, complex_matrix_to_json, json_parser
+from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex_matrix_to_json,
+                     json_parser)
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
 RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
@@ -115,7 +116,7 @@ class ChoiMatrix:
             raise NotPSDError(f"Choi matrix has eigenvalue {w_min:.3e} < -{TOL_PSD:.0e}")
         reduced = partial_trace(self.matrix, d, keep=1)
         defect = float(np.abs(reduced - np.eye(d) / d).max())
-        if defect > 1e-9:
+        if defect > TOL_CPTP:
             raise NotTracePreservingError(
                 f"Choi partial trace deviates from I/d by {defect:.3e}"
             )
@@ -347,7 +348,7 @@ def cbc_from_povm(effects) -> KrausChannel:
             raise NotPOVMError(f"effect {i} has eigenvalue {w_min:.3e}")
         total += f
     defect = float(np.abs(total - np.eye(d)).max())
-    if defect > 1e-9:
+    if defect > TOL_CPTP:
         raise NotPOVMError(f"effects sum deviates from identity by {defect:.3e}")
     ops = []
     if len(effects) > d:
@@ -512,17 +513,9 @@ def channel_from_json(obj: dict) -> KrausChannel:
         _wire_dim(obj, channel.dim)
         return channel
     if key == "affine":
-        form = obj["affine"]
-        if "m" not in form or "n" not in form:
-            raise ValueError('"affine" needs keys "m" and "n"')
-        rep = QubitAffine(
-            m=np.asarray(form["m"], dtype=float), shift=np.asarray(form["n"], dtype=float)
-        )
-        return affine_to_kraus(rep)
+        m, n = (np.asarray(v, dtype=float) for v in _json_numbers(obj[key], ("m", "n"), key))
+        return affine_to_kraus(QubitAffine(m=m, shift=n))
     if key == "gad":
-        form = obj["gad"]
-        if "p" not in form or "t" not in form:
-            raise ValueError('"gad" needs keys "p" and "t"')
-        return gad_channel(float(form["p"]), float(form["t"]))
+        return gad_channel(*map(float, _json_numbers(obj[key], ("p", "t"), key)))
     effects = [complex_matrix_from_json(f) for f in obj["povm"]]
     return cbc_from_povm(effects)

@@ -3,10 +3,9 @@
 Classes and their decision procedures:
 
 * incoherent / SIO / SCBC -- sparsity-pattern tests on a concrete Kraus
-  decomposition, on which membership can depend: in ``classify`` a test
-  failing on the given set is retried on the cached canonical Choi-extracted
-  set before the verdict is "no", unless a failing MIO or DIO test refutes
-  it or CBC decides it.
+  decomposition, on which membership can depend, so ``classify``, the
+  breaking index and the factorization law read them down one ladder of
+  Kraus sets: given, via CBC, then the cached canonical Choi-extracted set.
 * CBC / DIO -- decomposition-independent masked maxima over the images of
   the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
   the columns of the transfer matrix T.
@@ -248,28 +247,25 @@ class ClassificationReport:
                    {k: dict(v) for k, v in data["evidence"].items()})
 
 
-def _given_or_canonical(predicate, channel: KrausChannel, tol: float, refuted: bool = False):
-    """A pattern predicate on the given Kraus set, then, only if that fails and the
-    class is not `refuted`, on the canonical set. Returns the set that passed
-    ("given", "canonical" or None) and the witness of each set tested, by name."""
-    ok, given = predicate(channel, tol)
-    if ok or refuted:
-        return "given" if ok else None, {"given": given}
-    ok, canonical = predicate(channel.canonical, tol)
-    return "canonical" if ok else None, {"given": given, "canonical": canonical}
-
-
-def _pattern(predicate, channel: KrausChannel, tol: float, refuted: bool, via_cbc=None):
-    """(verdict, witness) of a pattern class: the given set, else the measure-and-prepare
-    set of a CBC channel (`via_cbc` is its evidence), else the canonical set unless
-    the class is `refuted`. The witness names the decomposition that decided."""
-    decomposition, witnesses = _given_or_canonical(predicate, channel, tol,
-                                                   refuted or via_cbc is not None)
-    if decomposition is None and via_cbc is not None:
-        return "yes", dict(via_cbc)
-    witness = witnesses[decomposition or "given"]
-    witness["decomposition"] = decomposition or "given"
-    return "yes" if decomposition else "no", witness
+def _given_or_canonical(predicate, channel: KrausChannel, tol: float, cbc=None,
+                        refuted: bool = False):
+    """Try a pattern predicate down one ladder of Kraus sets, the first to pass
+    deciding: the given set; "via-cbc", the measure-and-prepare set of a CBC
+    channel, when `cbc(channel, tol)` (`is_cbc` or its known verdict; None for a
+    class that misses some CBC channel) says yes; the canonical set, unless the
+    class is `refuted`. Returns the set that passed ("given", "via-cbc",
+    "canonical" or None) and the witness of each set tried, by name."""
+    witnesses = {}
+    ok, witnesses["given"] = predicate(channel, tol)
+    if ok:
+        return "given", witnesses
+    ok, witness = cbc(channel, tol) if cbc else (False, {})
+    if ok:
+        witnesses["via-cbc"] = {"decomposition": "via-cbc", **witness}
+        return "via-cbc", witnesses
+    if not refuted:
+        ok, witnesses["canonical"] = predicate(channel.canonical, tol)
+    return "canonical" if ok else None, witnesses
 
 
 def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationReport:
@@ -278,13 +274,11 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
     CBC and DIO are read off one pass over the matrix-unit images. A CBC
     channel is incoherent, SCBC, QC and entanglement breaking, so:
 
-    * incoherent: the given Kraus set; else via CBC; else "no" when MIO
-      fails by more than 2 d^2 tol; else the canonical set.
-    * SIO: the given set; else "no" when DIO fails by more than 2 d^2 tol;
-      else the canonical set. A canonical set (n <= d^2) that passed would
-      keep the refuting residual within 2 d tol.
-    * SCBC: the CBC verdict, since SCBC = CBC at channel level; `is_scbc`
-      runs on the given set for the evidence only.
+    * incoherent, SIO, SCBC: the `_given_or_canonical` ladder, via CBC for
+      incoherent and SCBC. Incoherent is "no" without the canonical set when MIO
+      fails by more than 2 d^2 tol, SIO when DIO does: a canonical set (n <= d^2)
+      that passed would keep that residual within 2 d tol. SCBC takes the CBC
+      verdict (SCBC = CBC at channel level); its ladder gives the evidence only.
     * QC: "yes" when `is_qc` or CBC says so; EB is never "no" on a QC
       channel, and takes the passing PPT verdict instead.
 
@@ -294,13 +288,16 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
     report, d = ClassificationReport(tolerance=tol), channel.dim
     off, dio = _unit_image_maxima(channel.transfer, d)
     cbc_ok, cbc = _unit_verdict(off, tol)
-    via_cbc = {"decomposition": "via-cbc", "residual": cbc["residual"]} if cbc_ok else None
     bound = 2 * d * d * tol  # IO in MIO, SIO in DIO
     v, e = report.verdicts, report.evidence
-    v["incoherent"], e["incoherent"] = _pattern(is_incoherent_kraus, channel, tol,
-                                                off.diagonal().max() > bound, via_cbc)
-    v["sio"], e["sio"] = _pattern(is_sio, channel, tol, dio.max() > bound)
-    _, e["scbc"] = _pattern(is_scbc, channel, tol, True, via_cbc)
+    for name, predicate, via_cbc, refuted in (
+        ("incoherent", is_incoherent_kraus, lambda *_: (cbc_ok, cbc), off.diagonal().max() > bound),
+        ("sio", is_sio, None, dio.max() > bound),
+        ("scbc", is_scbc, lambda *_: (cbc_ok, cbc), True),
+    ):
+        passed, witnesses = _given_or_canonical(predicate, channel, tol, via_cbc, refuted)
+        e[name] = {**witnesses[passed or "given"], "decomposition": passed or "given"}
+        v[name] = "yes" if passed else "no"
     v["scbc"] = v["cbc"] = "yes" if cbc_ok else "no"
     e["cbc"] = cbc
     dio_ok, e["dio"] = _unit_verdict(dio, tol)

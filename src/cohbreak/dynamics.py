@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, QubitAffine, _pauli_transfer, apply
-from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
+from .classifiers import DEFAULT_TOL, _given_or_canonical, is_cbc, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
     HypothesisViolatedError,
@@ -53,12 +53,10 @@ class IndexResult:
 
 
 def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
-    """Certify the incoherent Kraus pattern on the given or canonical set.
-
-    Returns "given" or "canonical"; raises NotIncoherentChannelError with
-    the pattern witness when neither decomposition certifies.
-    """
-    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol)
+    """Certify the incoherent Kraus pattern on the ladder that `classify` uses:
+    returns "given", "via-cbc" or "canonical", else raises NotIncoherentChannelError
+    with the pattern witnesses of the given and the canonical set."""
+    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
     if decomposition is None:
         raise NotIncoherentChannelError(
             "no incoherent Kraus pattern found "
@@ -209,7 +207,7 @@ def factorization_check(
     state = np.asarray(state, dtype=complex)
     _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
-    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol)
+    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
     mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)
     if not is_incoherent_state(mixed_image, tol):

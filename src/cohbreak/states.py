@@ -147,6 +147,17 @@ def _wire_dim(obj: dict, size: int | None = None) -> int | None:
     return d
 
 
+def _json_numbers(form: dict, keys: tuple[str, ...], name: str) -> list:
+    """The `keys` entries of `form`, a JSON `name` object: numbers or lists of numbers
+    but no string, since float() reads "0.5" where complex(re, im) refuses it."""
+    if not all(k in form for k in keys):
+        raise ValueError(f'"{name}" needs keys ' + " and ".join(f'"{k}"' for k in keys))
+    values = [form[k] for k in keys]
+    if any(np.asarray(v).dtype.kind in "US" for v in values):
+        raise ValueError(f'"{name}" needs numbers, not strings: {values!r}')
+    return values
+
+
 @json_parser
 def complex_matrix_from_json(data: list) -> np.ndarray:
     try:
@@ -166,7 +177,7 @@ def state_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object")
     if "bloch" in obj:
-        return from_bloch(np.asarray(obj["bloch"], dtype=float))
+        return from_bloch(np.asarray(_json_numbers(obj, ("bloch",), "state")[0], dtype=float))
     if "matrix" not in obj:
         raise ValueError('state JSON needs a "matrix" or "bloch" key')
     rho = complex_matrix_from_json(obj["matrix"])

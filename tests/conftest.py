@@ -186,6 +186,17 @@ def dense_channel_json(channel: KrausChannel) -> dict:
 BAD_DIMS = {"dim-float": 2.0, "dim-fraction": 2.9, "dim-string": "2", "dim-bool": True}
 
 
+# Channel files that are valid but for one number written as a JSON string,
+# which float() would read: the library raises ValueError and the CLI exits 2.
+# Each would be the identity channel with its numbers in place.
+STRING_NUMBERS = {
+    "gad-p-string": {"gad": {"p": "1", "t": 0.5}},
+    "affine-m-string": {"affine": {"m": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "n": [0, 0, 0]}},
+    "affine-n-string": {"affine": {"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": [0, "0", 0]}},
+}
+BLOCH_STRING = {"bloch": ["0.3", 0.0, 0.0]}
+
+
 # Sparse files that are each malformed in one way: the library raises
 # ValueError and the CLI exits 2. The good base is the dephasing channel
 # [[[0, 0, 1, 0]], [[1, 1, 1, 0]]]; a wrapped negative index would make

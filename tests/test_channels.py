@@ -46,7 +46,8 @@ from cohbreak.states import (
     from_bloch,
     maximally_coherent,
 )
-from conftest import BAD_DIMS, MALFORMED_SPARSE, dense_channel_json, random_density_matrix
+from conftest import (BAD_DIMS, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
+                      random_density_matrix)
 
 
 def matrix_units(d):
@@ -503,8 +504,9 @@ def test_channel_json_dispatch_errors():
     {"gad": 3},
     {"povm": [[[[1.0, None]]]]},
     *({**dense_channel_json(dephasing_channel(2)), "dim": dim} for dim in BAD_DIMS.values()),
+    *STRING_NUMBERS.values(),
 ], ids=["dim-null", "dim-infinity", "kraus-int", "entry-overflow", "gad-p-null",
-        "gad-p-overflow", "gad-int", "povm-entry-null", *BAD_DIMS])
+        "gad-p-overflow", "gad-int", "povm-entry-null", *BAD_DIMS, *STRING_NUMBERS])
 def test_channel_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         channel_from_json(obj)

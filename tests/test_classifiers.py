@@ -37,12 +37,14 @@ from cohbreak.classifiers import (
     is_scbc,
     is_sio,
 )
-from cohbreak.dynamics import coherence_breaking_index, factorization_check
+from cohbreak.dynamics import certify_incoherent, coherence_breaking_index, factorization_check
+from cohbreak.errors import HypothesisViolatedError, NotIncoherentChannelError
 from cohbreak.states import from_bloch
 from conftest import (
     HADAMARD,
     cbc_by_phase_sweep,
     dio_cbc_form,
+    random_density_matrix,
     rotated_dephasing_channel,
     second_example_affine,
     sio_cbc_form,
@@ -311,6 +313,45 @@ def test_refuting_residuals_rule_out_the_canonical_set(kind, d, tol, seed):
                                 (dio.max(), is_sio), (off.max(), is_scbc)):
         if residual > 2 * d * d * tol:
             assert not predicate(channel.canonical, tol)[0]
+
+
+def mixed_depolarizing_channel(d, rng):
+    """rho -> I/d from the Kraus set of the uniform POVM, mixed by a Haar unitary. Its
+    Choi matrix is I/d^2, so any basis is a canonical set, and the one `eigh` picks
+    fails the incoherent pattern."""
+    return haar_mixed(cbc_from_povm([np.eye(d) / d] * d), rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_mixed_depolarizing_channel_is_incoherent_with_index_one(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    channel = mixed_depolarizing_channel(d, rng)
+    calls = count_extractions(monkeypatch)
+    assert certify_incoherent(channel) == "via-cbc"
+    assert coherence_breaking_index(channel).value == 1
+    assert factorization_check(random_density_matrix(d, rng), channel).certification \
+        == "incoherent-kraus"
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(SOUNDNESS_KINDS) + ["mixed-depolarizing"]),
+       d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_index_and_factorization_law_certify_what_classify_says(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    channel = {**SOUNDNESS_KINDS, "mixed-depolarizing": mixed_depolarizing_channel}[kind](d, rng)
+    verdict = classify(channel).verdicts["incoherent"]
+    try:
+        certify_incoherent(channel)
+    except NotIncoherentChannelError:
+        assert verdict == "no"
+    else:
+        assert verdict != "no"
+    try:
+        label = factorization_check(random_density_matrix(d, rng), channel).certification
+    except HypothesisViolatedError:  # Phi(I/d) not diagonal: not incoherent either
+        label = None
+    assert (label == "incoherent-kraus") == (verdict == "yes")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -23,7 +23,8 @@ from cohbreak.classifiers import ClassificationReport
 from cohbreak.cli import main
 from cohbreak.concentration import ConcentrationReport
 from cohbreak.states import complex_matrix_to_json, state_to_json
-from conftest import MALFORMED_SPARSE, dense_channel_json, rotated_dephasing_channel
+from conftest import (BLOCH_STRING, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
+                      rotated_dephasing_channel)
 
 
 @pytest.fixture()
@@ -349,10 +350,12 @@ GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
     ("--state", {**state_to_json(np.eye(2) / 2), "dim": 2.0}),
     ("--state", {**state_to_json(np.eye(2) / 2), "dim": "2"}),
     *(("--channel", obj) for obj in MALFORMED_SPARSE.values()),
+    *(("--channel", obj) for obj in STRING_NUMBERS.values()),
+    ("--state", BLOCH_STRING),
 ], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
         "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan",
         "dim-float", "dim-string", "matrix-dim-float", "matrix-dim-string",
-        *(f"sparse-{name}" for name in MALFORMED_SPARSE)])
+        *(f"sparse-{name}" for name in MALFORMED_SPARSE), *STRING_NUMBERS, "bloch-string"])
 def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(obj))
