@@ -463,32 +463,30 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 
 def _sparse_kraus(d: int, ops) -> np.ndarray:
-    """Dense (n_ops, d, d) Kraus array from the sparse form, allocated only after every
-    entry is checked and every column has one (else it cannot be CPTP). Checks run on all
-    entries at once and raise the fault an entry-by-entry scan would meet first."""
+    """Dense (n_ops, d, d) Kraus array from the sparse form. Entries are read in file
+    order, each checked for shape, then indices, then repeats, and the first fault met is
+    raised. The array is allocated only after every column has an entry (else the channel
+    cannot be trace preserving)."""
     if not isinstance(ops, list) or not all(isinstance(op, list) for op in ops):
         raise ValueError('"sparse" must be a list of entry lists, one per Kraus operator')
-    entries = [entry for op in ops for entry in op]
-    owner = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
-    shaped = [isinstance(entry, list) and len(entry) == 4 for entry in entries] + [False]
-    i, j, re, im = list(zip(*entries[:shaped.index(False)])) or [()] * 4
-    valid = np.array([type(x) is int and 0 <= x < d for x in i + j], dtype=bool)  # no bools
-    bad = len(i) if valid.all() else int(valid.reshape(2, -1).all(0).argmin())  # first bad index
-    key = np.array([owner[:bad], i[:bad], j[:bad]], dtype=np.int64 if d <= 2**63 else object)
-    order = np.lexsort(key[::-1])  # stable: a repeat sorts right after the entry it repeats
-    first = int(order[1:][(key[:, order[1:]] == key[:, order[:-1]]).all(0)].min(initial=bad))
-    values = list(map(complex, re[:first], im[:first]))
-    if first < len(entries):
-        raise ValueError(f"operator {owner[first]}: " + (
-            f"entry {entries[first]!r} is not [i, j, re, im]" if first == len(i) else
-            f"index ({i[first]!r}, {j[first]!r}) is not in [0, {d})" if first == bad else
-            f"entry ({i[first]}, {j[first]}) appears twice"))
-    missing = set(range(min(d, len(entries) + 1))).difference(j)  # the first gap is <= n
-    if missing:
-        raise ValueError(f"column {min(missing)} has no entry, so the channel is not "
+    values = {}  # (operator, i, j) -> value, in file order
+    for n, op in enumerate(ops):
+        for entry in op:
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ValueError(f"operator {n}: entry {entry!r} is not [i, j, re, im]")
+            i, j, re, im = entry
+            if not all(type(x) is int and 0 <= x < d for x in (i, j)):  # no bools
+                raise ValueError(f"operator {n}: index ({i!r}, {j!r}) is not in [0, {d})")
+            if (n, i, j) in values:
+                raise ValueError(f"operator {n}: entry ({i}, {j}) appears twice")
+            values[n, i, j] = complex(re, im)
+    columns = {j for _, _, j in values}
+    if len(columns) < d:
+        missing = next(j for j in range(d) if j not in columns)
+        raise ValueError(f"column {missing} has no entry, so the channel is not "
                          "trace preserving")
     stack = np.zeros((len(ops), d, d), dtype=complex)
-    stack[tuple(key)] = values
+    stack[tuple(zip(*values))] = list(values.values())
     return stack
 
 

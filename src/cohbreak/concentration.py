@@ -5,7 +5,7 @@ the Lipschitz constant of the scaled l1 coherence, Monte Carlo estimates of
 the mean output coherence, and end-to-end tail experiments comparing
 empirical frequencies against the bounds.
 
-Channels may be passed either as a single KrausChannel or as a sequence of
+Channels may be passed either as a single KrausChannel or as any iterable of
 KrausChannel tensor factors (left to right), applied leg by leg through each
 leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
 through its (n_ops, d, d) `kraus_ops` array in one GEMM, w = K psi, and
@@ -89,18 +89,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # --- batched channel application --------------------------------------------
 
 
-def _normalize_factors(channel) -> list[KrausChannel]:
-    if isinstance(channel, KrausChannel):
-        return [channel]
-    factors = list(channel)
+def _normalize_factors(channel) -> tuple[list[KrausChannel], int]:
+    """The tensor factors of a channel or of an iterable of them, and their total dimension."""
+    factors = [channel] if isinstance(channel, KrausChannel) else list(channel)
     if not factors or not all(isinstance(f, KrausChannel) for f in factors):
         raise TypeError("channel must be a KrausChannel or a sequence of them")
-    return factors
-
-
-def product_dim(channel) -> int:
-    """Total dimension of a channel or of a sequence of tensor factors."""
-    return int(np.prod([f.dim for f in _normalize_factors(channel)]))
+    return factors, int(np.prod([f.dim for f in factors]))
 
 
 def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
@@ -111,9 +105,8 @@ def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
     `transfer`: dk^4 entries, the same array `classify` builds. A matmul
     moves its leg to the back, so after the last leg the order is restored.
     """
-    factors = _normalize_factors(channel)
+    factors, d = _normalize_factors(channel)
     dims = [f.dim for f in factors]
-    d = int(np.prod(dims))
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape[1:] != (d, d):
         raise ParameterOutOfRangeError(
@@ -179,8 +172,7 @@ def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
 
 
 def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
-    factors = _normalize_factors(channel)
-    d = product_dim(factors)
+    factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, samples, _rng(seed))
     if len(factors) == 1 and factors[0].n_ops == 1:
         # Rank 1 (identity or unitary): c_l1 = (sum |w|)^2 - sum |w|^2.
@@ -254,18 +246,19 @@ def run_concentration_experiment(
         raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
     if not epsilons:
         raise ParameterOutOfRangeError("need at least one epsilon")
-    if product_dim(channel) != d:
+    factors, dim = _normalize_factors(channel)
+    if dim != d:
         raise ParameterOutOfRangeError(
-            f"declared dimension {d} does not match channel dimension {product_dim(channel)}"
+            f"declared dimension {d} does not match channel dimension {dim}"
         )
-    values = _sample_output_coherences(channel, samples, seed)
+    values = _sample_output_coherences(factors, samples, seed)
     scaled = values / (d - 1.0)
     mean_scaled = float(scaled.mean())
     report = ConcentrationReport(
         dim=d,
         samples=samples,
         seed=seed,
-        channel=label if label is not None else _describe(channel),
+        channel=label if label is not None else _describe(factors),
         eta_channel=eta_channel,
         mean_c_l1=float(values.mean()),
         mean_scaled=mean_scaled,
@@ -281,10 +274,7 @@ def run_concentration_experiment(
     return report
 
 
-def _describe(channel) -> str:
-    factors = _normalize_factors(channel)
-    if len(factors) == 1:
-        return f"kraus(dim={factors[0].dim}, ops={factors[0].n_ops})"
+def _describe(factors: list[KrausChannel]) -> str:
     return " (x) ".join(f"kraus(dim={f.dim}, ops={f.n_ops})" for f in factors)
 
 
@@ -297,8 +287,7 @@ def contraction_check(channel, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
-    factors = _normalize_factors(channel)
-    d = product_dim(factors)
+    factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, 2 * samples, _rng(seed))
     worst = 0.0
     step = 2 * _chunk(2 * _sample_entries(factors, d))

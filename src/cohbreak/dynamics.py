@@ -206,7 +206,6 @@ def factorization_check(
     """
     state = np.asarray(state, dtype=complex)
     _require_shape(state, (channel.dim, channel.dim), "state")
-    require_finite(state, "state")
     decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
     mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)

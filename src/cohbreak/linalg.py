@@ -60,6 +60,7 @@ def hermitian_eigendecomposition(
     """
     a = np.asarray(a, dtype=complex)
     _require_shape(a, (math.isqrt(a.size),) * 2, "matrix a")  # square, of its size
+    require_finite(a, "matrix a")
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
@@ -76,6 +77,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     _require_shape(sigma, rho.shape, "sigma")
+    require_finite(rho, "rho")
+    require_finite(sigma, "sigma")
     return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 

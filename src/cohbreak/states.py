@@ -48,6 +48,7 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
         thetas = np.zeros(d)
     thetas = np.asarray(thetas, dtype=float)
     _require_shape(thetas, (d,), "thetas")
+    require_finite(thetas, "thetas")
     psi = np.exp(1j * thetas) / np.sqrt(d)
     return np.outer(psi, psi.conj())
 
@@ -95,6 +96,7 @@ def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedB
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     _require_shape(rho, (d, d), "rho")
+    require_finite(rho, "rho")
     coords = np.array([np.trace(rho @ g).real for g in basis.generators])
     chi = float(np.linalg.norm(coords))
     unit = coords / chi if chi > 0.0 else None
@@ -106,6 +108,7 @@ def from_generalized_bloch(coords: np.ndarray, basis: HermitianBasis) -> np.ndar
     coords = np.asarray(coords, dtype=float)
     d = basis.dim
     _require_shape(coords, (d * d - 1,), "coords")
+    require_finite(coords, "coords")
     rho = np.eye(d, dtype=complex) / d
     for x, g in zip(coords, basis.generators):
         rho += 0.5 * x * g

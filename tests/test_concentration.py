@@ -145,6 +145,14 @@ def test_apply_batch_matches_kron_oracle():
     assert np.abs(fast - naive).max() < 1e-12
 
 
+def test_an_iterator_of_legs_gives_the_same_report_as_the_list():
+    legs = [gad_channel(0.7, 0.4), gad_channel(0.6, 0.3)]
+    expected = run_concentration_experiment(legs, d=4, samples=64, epsilons=[0.1], seed=3)
+    report = run_concentration_experiment(iter(legs), d=4, samples=64, epsilons=[0.1], seed=3)
+    assert report == expected
+    assert report.channel == "kraus(dim=2, ops=4) (x) kraus(dim=2, ops=4)"
+
+
 def test_apply_batch_heterogeneous_factors():
     gad = gad_channel(0.6, 0.2)
     delta3 = dephasing_channel(3)

@@ -9,7 +9,7 @@ from cohbreak.errors import (
     InvalidDimensionError,
     NonFiniteError,
 )
-from cohbreak.linalg import generalized_gell_mann
+from cohbreak.linalg import generalized_gell_mann, hermitian_eigendecomposition, trace_distance
 from cohbreak.states import (
     bloch_vector,
     complex_matrix_from_json,
@@ -48,6 +48,25 @@ def test_from_bloch_rejects_long_vectors():
 def test_from_bloch_rejects_non_finite_components(r):
     with pytest.raises(NonFiniteError):
         from_bloch(np.array(r))
+
+
+NON_FINITE_CALLS = {
+    "trace_distance-rho": lambda x: trace_distance([[x, 0], [0, 1]], np.eye(2) / 2),
+    "trace_distance-sigma": lambda x: trace_distance(np.eye(2) / 2, [[x, 0], [0, 1]]),
+    "hermitian_eigendecomposition": lambda x: hermitian_eigendecomposition([[x, 0], [0, 1]]),
+    "to_generalized_bloch": lambda x: to_generalized_bloch(np.diag([x, 0.5, 0.5]),
+                                                           generalized_gell_mann(3)),
+    "maximally_coherent": lambda x: maximally_coherent(3, [0.0, x, 0.0]),
+    "from_generalized_bloch": lambda x: from_generalized_bloch(np.full(8, x),
+                                                               generalized_gell_mann(3)),
+}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_argument_is_rejected(call, entry):
+    with pytest.raises(NonFiniteError):
+        call(entry)
 
 
 def test_generalized_bloch_of_maximally_mixed():
