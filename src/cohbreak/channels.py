@@ -135,16 +135,23 @@ class QubitAffine:
     shift: np.ndarray
 
     def __post_init__(self) -> None:
-        _require_shape(np.asarray(self.m), (3, 3), "m")
-        _require_shape(np.asarray(self.shift), (3,), "shift")
+        _require_shape(self.m, (3, 3), "m", dtype=None)
+        _require_shape(self.shift, (3,), "shift", dtype=None)
         require_finite(self.m, "m")
         require_finite(self.shift, "shift")
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """Pauli transfer matrix R = [[1, 0], [shift, m]] on (1, r); uncached: m may change."""
+        r = np.eye(4)
+        r[1:, 0] = self.shift
+        r[1:, 1:] = self.m
+        return r
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n^dag. Linear; rho may be any matrix of matching size."""
-    rho = np.asarray(rho, dtype=complex)
-    _require_shape(rho, (channel.dim, channel.dim), "rho")
+    rho = _require_shape(rho, (channel.dim, channel.dim), "rho")
     k = channel.kraus_ops
     return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
@@ -222,21 +229,13 @@ def affine_from_kraus(channel: KrausChannel) -> QubitAffine:
     return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
 
-def _pauli_transfer(rep: QubitAffine) -> np.ndarray:
-    """Pauli transfer matrix R = [[1, 0], [shift, m]] acting on (1, r)."""
-    r = np.eye(4)
-    r[1:, 0] = rep.shift
-    r[1:, 1:] = rep.m
-    return r
-
-
 def affine_to_kraus(rep: QubitAffine) -> KrausChannel:
     """Promote an affine pair to a Kraus channel via its Choi matrix.
 
-    The pair fills the Pauli transfer matrix R, so T = P R P^dag / 2.
+    The pair's Pauli transfer matrix R gives T = P R P^dag / 2.
     Raises NotPSDError when (m, shift) is not completely positive.
     """
-    t = _PAULI_VECS @ _pauli_transfer(rep) @ _PAULI_VECS.conj().T / 2
+    t = _PAULI_VECS @ rep.transfer @ _PAULI_VECS.conj().T / 2
     return choi_to_kraus(ChoiMatrix(dim=2, matrix=_reshuffle(t, 2) / 2))
 
 
@@ -244,7 +243,7 @@ def affine_iterate(rep: QubitAffine, n: int) -> QubitAffine:
     """Affine pair of the n-th channel power, read off R^n: (M^n, sum_{k<n} M^k shift)."""
     if n < 1:
         raise ParameterOutOfRangeError(f"need n >= 1, got {n}")
-    r = np.linalg.matrix_power(_pauli_transfer(rep), n)
+    r = np.linalg.matrix_power(rep.transfer, n)
     return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
 
@@ -258,8 +257,7 @@ def identity_channel(d: int) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     """Channel rho -> U rho U^dag for a unitary U."""
-    u = np.asarray(u, dtype=complex)
-    return make_channel([u], dim=u.shape[0])
+    return make_channel([u])
 
 
 def dephasing_channel(d: int) -> KrausChannel:
@@ -326,42 +324,37 @@ def y_to_x_channel(alpha: float) -> KrausChannel:
 def cbc_from_povm(effects) -> KrausChannel:
     """Measure-and-prepare channel rho -> sum_i |i><i| Tr(rho F_i).
 
-    effects must be PSD matrices summing to the identity. The Kraus set is
-    K_ik = sqrt(lambda_ik) |i><phi_ik| from the eigendecomposition of each
-    effect, so every Kraus branch outputs a diagonal state.
+    effects must be at most d PSD matrices summing to the identity, checked in that
+    order. The Kraus set is K_ik = sqrt(lambda_ik) |i><phi_ik| from one eigh of each
+    effect, lambda_ik > RANK_CUTOFF, so every Kraus branch outputs a diagonal state.
     """
     effects = [np.asarray(f, dtype=complex) for f in effects]
     if not effects:
         raise NotPOVMError("need at least one effect")
     d = effects[0].shape[0]
+    if len(effects) > d:
+        raise NotPOVMError(f"{len(effects)} effects cannot prepare distinct basis states "
+                           f"in dim {d}")
     total = np.zeros((d, d), dtype=complex)
-    eigs = []
+    ops = []
     for i, f in enumerate(effects):
         if f.shape != (d, d):
             raise NotPOVMError(f"effect {i} has shape {f.shape}, expected {(d, d)}")
         require_finite(f, f"effect {i}")
         if hermiticity_defect(f) > TOL_HERM:
             raise NotPOVMError(f"effect {i} is not Hermitian within tolerance")
-        eigs.append(np.linalg.eigh(f))
-        w_min = float(eigs[-1][0].min())
-        if w_min < -TOL_PSD:
-            raise NotPOVMError(f"effect {i} has eigenvalue {w_min:.3e}")
+        w, v = np.linalg.eigh(f)
+        if w.min() < -TOL_PSD:
+            raise NotPOVMError(f"effect {i} has eigenvalue {w.min():.3e}")
+        keep = w > RANK_CUTOFF
+        k = np.zeros((int(keep.sum()), d, d), dtype=complex)
+        # conj(v) before scaling: conjugating the product would turn +0j parts into -0j
+        k[:, i] = np.sqrt(w[keep])[:, None] * v[:, keep].T.conj()
+        ops.extend(k)
         total += f
     defect = float(np.abs(total - np.eye(d)).max())
     if defect > TOL_CPTP:
         raise NotPOVMError(f"effects sum deviates from identity by {defect:.3e}")
-    ops = []
-    if len(effects) > d:
-        raise NotPOVMError(
-            f"{len(effects)} effects cannot prepare distinct basis states in dim {d}"
-        )
-    for i, (w, v) in enumerate(eigs):
-        for lam, phi in zip(w, v.T):
-            if lam <= RANK_CUTOFF:
-                continue
-            k = np.zeros((d, d), dtype=complex)
-            k[i, :] = np.sqrt(lam) * phi.conj()
-            ops.append(k)
     return make_channel(ops, dim=d)
 
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _pauli_transfer
+from .channels import KrausChannel, QubitAffine
 from .linalg import generalized_gell_mann
 
 DEFAULT_TOL = 1e-8
@@ -145,7 +145,7 @@ def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
     The x and y output components must vanish for every input, i.e. the
     first two rows of M and the first two shift components are zero.
     """
-    return float(np.abs(_pauli_transfer(rep)[1:3]).max()) <= tol
+    return float(np.abs(rep.transfer[1:3]).max()) <= tol
 
 
 def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -182,6 +182,7 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     tol * _QC_BAND, and in between the exact test that every pair commutes
     within tol decides. ``max_commutator`` is the largest commutator entry of
     the worst-residual output with every output (of every pair, if exact).
+    CBC implies QC: a "no" that `is_cbc` overturns is "yes", ``"implied_by": "cbc"``.
     """
     d, t = channel.dim, channel.transfer
     if d == 1:  # a single output, which commutes with itself
@@ -199,9 +200,14 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     if tol / _QC_BAND <= residual <= tol * _QC_BAND:
         commutator = max(_max_commutator(outputs[:, :, b], outputs[:, :, b + 1:])
                          for b in range(d * d - 1))
-        return commutator <= tol, {"max_commutator": commutator, "residual": residual}
-    commutator = _max_commutator(outputs[:, :, worst], outputs)
-    return residual < tol, {"max_commutator": commutator, "residual": residual}
+        ok = commutator <= tol
+    else:
+        commutator = _max_commutator(outputs[:, :, worst], outputs)
+        ok = residual < tol
+    witness = {"max_commutator": commutator, "residual": residual}
+    if not ok and is_cbc(channel, tol)[0]:
+        return True, {**witness, "implied_by": "cbc"}
+    return ok, witness
 
 
 def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -279,7 +285,7 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
       fails by more than 2 d^2 tol, SIO when DIO does: a canonical set (n <= d^2)
       that passed would keep that residual within 2 d tol. SCBC takes the CBC
       verdict (SCBC = CBC at channel level); its ladder gives the evidence only.
-    * QC: "yes" when `is_qc` or CBC says so; EB is never "no" on a QC
+    * QC: `is_qc`, which says "yes" when CBC does; EB is never "no" on a QC
       channel, and takes the passing PPT verdict instead.
 
     Where a verdict comes from an inclusion and not from the class's own
@@ -304,9 +310,6 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
     v["dio"] = "yes" if dio_ok else "no"
 
     qc_ok, e["qc"] = is_qc(channel, tol)
-    if cbc_ok and not qc_ok:
-        e["qc"]["implied_by"] = "cbc"
-        qc_ok = True
     v["qc"] = "yes" if qc_ok else "no"
     v["entanglement_breaking"], e["entanglement_breaking"] = is_entanglement_breaking(channel, tol)
     if qc_ok and v["entanglement_breaking"] == "no":

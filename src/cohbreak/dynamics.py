@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _pauli_transfer, apply
+from .channels import KrausChannel, QubitAffine, apply
 from .classifiers import DEFAULT_TOL, _given_or_canonical, is_cbc, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
@@ -68,6 +68,8 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
 def _first_breaking_power(t: np.ndarray, rows, cap: int, tol: float) -> IndexResult:
     """Least n <= cap whose power t^n = t^(n-1) t has every entry of the
     coherent output rows at most tol; the residual is their largest entry."""
+    if cap < 1:
+        raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
     residuals: list[float] = []
     power = t
     for n in range(1, cap + 1):
@@ -88,8 +90,6 @@ def coherence_breaking_index(
     off-diagonal entry of any matrix-unit image, as in `is_cbc`. Exhausting
     the cap is a result, not an error.
     """
-    if cap < 1:
-        raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
     certify_incoherent(channel, tol)
     off_diagonal = ~np.eye(channel.dim, dtype=bool).ravel()  # rows u*d + v with u != v
     return _first_breaking_power(channel.transfer, off_diagonal, cap, tol)
@@ -99,9 +99,7 @@ def coherence_breaking_index_affine(
     rep: QubitAffine, cap: int = DEFAULT_INDEX_CAP, tol: float = DEFAULT_TOL
 ) -> IndexResult:
     """Breaking index on the powers of the pair's Pauli transfer matrix, as in `is_cbc_affine`."""
-    if cap < 1:
-        raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
-    return _first_breaking_power(_pauli_transfer(rep), slice(1, 3), cap, tol)
+    return _first_breaking_power(rep.transfer, slice(1, 3), cap, tol)
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ def evolve(
     """Track c_l1 under repeated channel application (a stroboscopic run)."""
     if steps < 1:
         raise ParameterOutOfRangeError(f"need steps >= 1, got {steps}")
-    state = np.asarray(state, dtype=complex)
-    _require_shape(state, (channel.dim, channel.dim), "state")
+    state = _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
     values = [c_l1(state)]
     rho = state
@@ -168,9 +165,8 @@ def probe_state(state: np.ndarray) -> ProbeState:
     IncoherentInputError when the source has no traceless component or no
     off-diagonal component (c_l1(rho_0) would divide by zero).
     """
-    h = np.asarray(state, dtype=complex)
-    d = math.isqrt(h.size)  # the side of a square array of that size
-    _require_shape(h, (d, d), "state")
+    d = math.isqrt(np.size(state))  # the side of a square array of that size
+    h = _require_shape(state, (d, d), "state")
     if d < 1:
         raise InvalidDimensionError(f"need d >= 1, got {d}")
     require_finite(h, "state")
@@ -204,8 +200,7 @@ def factorization_check(
     satisfies; the result records whether the stronger Kraus-pattern
     certificate held or only the diagonal-fixed-point hypothesis.
     """
-    state = np.asarray(state, dtype=complex)
-    _require_shape(state, (channel.dim, channel.dim), "state")
+    state = _require_shape(state, (channel.dim, channel.dim), "state")
     decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
     mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)

@@ -38,10 +38,12 @@ def require_finite(a, what: str) -> None:
         raise NonFiniteError(f"{what} has a NaN or infinite entry")
 
 
-def _require_shape(a: np.ndarray, shape: tuple, what: str) -> None:
-    """Raise DimensionMismatchError unless the array a has exactly the given shape."""
+def _require_shape(a, shape: tuple, what: str, dtype=complex) -> np.ndarray:
+    """np.asarray(a, dtype); raises DimensionMismatchError unless it has exactly that shape."""
+    a = np.asarray(a, dtype=dtype)
     if a.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -58,8 +60,7 @@ def hermitian_eigendecomposition(
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
     Raises NotHermitianError if the Hermiticity defect exceeds tol.
     """
-    a = np.asarray(a, dtype=complex)
-    _require_shape(a, (math.isqrt(a.size),) * 2, "matrix a")  # square, of its size
+    a = _require_shape(a, (math.isqrt(np.size(a)),) * 2, "matrix a")  # square, of its size
     require_finite(a, "matrix a")
     defect = hermiticity_defect(a)
     if defect > tol:
@@ -74,9 +75,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     Note there is no factor 1/2: orthogonal pure states are at distance 2,
     and for qubits the value equals the Euclidean Bloch-vector distance.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _require_shape(sigma, rho.shape, "sigma")
+    rho = _require_shape(rho, (math.isqrt(np.size(rho)),) * 2, "rho")  # square, of its size
+    sigma = _require_shape(sigma, rho.shape, "sigma")
     require_finite(rho, "rho")
     require_finite(sigma, "sigma")
     return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
@@ -122,8 +122,7 @@ def partial_transpose(mat: np.ndarray, d: int) -> np.ndarray:
 
     An involution: applying it twice returns the input.
     """
-    mat = np.asarray(mat, dtype=complex)
-    _require_shape(mat, (d * d, d * d), "mat")
+    mat = _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     return t.transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
@@ -133,8 +132,7 @@ def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
 
     keep=0 keeps the first tensor factor, keep=1 the second.
     """
-    mat = np.asarray(mat, dtype=complex)
-    _require_shape(mat, (d * d, d * d), "mat")
+    mat = _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     if keep == 0:
         return np.einsum("ikjk->ij", t)

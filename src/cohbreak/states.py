@@ -18,8 +18,7 @@ from .linalg import PAULIS, HermitianBasis, _require_shape, assert_density_matri
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
     """Qubit density matrix (I + r.sigma)/2 for a Bloch vector |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    _require_shape(r, (3,), "Bloch vector r")
+    r = _require_shape(r, (3,), "Bloch vector r", float)
     require_finite(r, "Bloch vector")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-12:
@@ -32,8 +31,7 @@ def from_bloch(r: np.ndarray) -> np.ndarray:
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch coordinates (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z])."""
-    rho = np.asarray(rho, dtype=complex)
-    _require_shape(rho, (2, 2), "rho")
+    rho = _require_shape(rho, (2, 2), "rho")
     return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
 
 
@@ -46,8 +44,7 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
         raise InvalidDimensionError(f"need d >= 2, got {d}")
     if thetas is None:
         thetas = np.zeros(d)
-    thetas = np.asarray(thetas, dtype=float)
-    _require_shape(thetas, (d,), "thetas")
+    thetas = _require_shape(thetas, (d,), "thetas", float)
     require_finite(thetas, "thetas")
     psi = np.exp(1j * thetas) / np.sqrt(d)
     return np.outer(psi, psi.conj())
@@ -93,9 +90,8 @@ class GeneralizedBloch:
 
 def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedBloch:
     """Expand rho = I/d + (1/2) sum_i x_i L_i and split x into chi * n."""
-    rho = np.asarray(rho, dtype=complex)
     d = basis.dim
-    _require_shape(rho, (d, d), "rho")
+    rho = _require_shape(rho, (d, d), "rho")
     require_finite(rho, "rho")
     coords = np.array([np.trace(rho @ g).real for g in basis.generators])
     chi = float(np.linalg.norm(coords))
@@ -105,9 +101,8 @@ def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedB
 
 def from_generalized_bloch(coords: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """Inverse of to_generalized_bloch: I/d + (1/2) sum_i x_i L_i."""
-    coords = np.asarray(coords, dtype=float)
     d = basis.dim
-    _require_shape(coords, (d * d - 1,), "coords")
+    coords = _require_shape(coords, (d * d - 1,), "coords", float)
     require_finite(coords, "coords")
     rho = np.eye(d, dtype=complex) / d
     for x, g in zip(coords, basis.generators):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohbreak.channels import (
+    RANK_CUTOFF,
     KrausChannel,
     _sparse_kraus,
     QubitAffine,
@@ -20,6 +21,7 @@ from cohbreak.channels import (
     compose,
     dephasing_channel,
     gad_channel,
+    haar_unitary,
     identity_channel,
     iterate,
     kraus_to_choi,
@@ -317,6 +319,15 @@ def test_affine_iterate_matches_kraus_iterate():
             assert np.abs(direct.shift - powered.shift).max() < 1e-9
 
 
+def test_affine_transfer_follows_an_in_place_change_to_m():
+    # QubitAffine keeps m and shift uncopied, so R is rebuilt on every read.
+    rep = QubitAffine(m=np.diag([0.5, 0.5, 0.25]), shift=np.array([0.0, 0.0, 0.1]))
+    assert rep.transfer[1, 1] == 0.5
+    rep.m[0, 0] = 0.0
+    expected = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0.5, 0], [0.1, 0, 0, 0.25]]
+    assert np.array_equal(rep.transfer, expected)
+
+
 def test_affine_to_kraus_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -404,6 +415,46 @@ def test_cbc_from_povm_validation():
         cbc_from_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # not PSD
     with pytest.raises(NotPOVMError):
         cbc_from_povm([np.eye(2) / 3] * 3)  # more effects than basis states
+
+
+def test_cbc_from_povm_reports_the_effect_count_before_a_bad_effect():
+    with pytest.raises(NotPOVMError, match="^3 effects cannot prepare distinct basis states"):
+        cbc_from_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]), 0])
+
+
+def loop_cbc_kraus(effects):
+    """Reference Kraus stack of cbc_from_povm: one sqrt(lambda) |i><phi| per
+    eigenvalue lambda > RANK_CUTOFF of each effect F_i, in eigh order."""
+    d, ops = len(effects[0]), []
+    for i, f in enumerate(effects):
+        w, v = np.linalg.eigh(np.asarray(f, dtype=complex))
+        for lam, phi in zip(w, v.T):
+            if lam > RANK_CUTOFF:
+                k = np.zeros((d, d), dtype=complex)
+                k[i, :] = np.sqrt(lam) * phi.conj()
+                ops.append(k)
+    return np.array(ops)
+
+
+def seeded_povms(count):
+    """Wishart POVMs, and projectors onto groups of basis vectors (rank-deficient
+    effects, with exact zeros) in the computational or a Haar-random basis."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        if seed % 3 == 0:
+            yield random_povm(d, int(rng.integers(1, d + 1)), rng)
+            continue
+        u = haar_unitary(d, rng) if seed % 3 == 1 else np.eye(d)
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d - 1)),
+                                  replace=False))
+        yield [u[:, g] @ u[:, g].conj().T for g in np.split(np.arange(d), cuts)]
+
+
+def test_cbc_from_povm_matches_the_loop_reference_bytewise():
+    # Byte equality pins signed zeros: the channel's sparse wire form writes -0.
+    for effects in seeded_povms(300):
+        assert cbc_from_povm(effects).kraus_ops.tobytes() == loop_cbc_kraus(effects).tobytes()
 
 
 def test_y_to_x_channel_is_incoherent_patterned():

@@ -15,10 +15,11 @@ from cohbreak.channels import (
     channel_from_json,
     haar_unitary,
     make_channel,
+    partial_dephasing_channel,
     random_channel,
     random_povm,
 )
-from cohbreak.classifiers import _QC_BAND, DEFAULT_TOL, classify, is_qc
+from cohbreak.classifiers import _QC_BAND, DEFAULT_TOL, classify, is_cbc, is_qc
 from conftest import pairwise_commutator_oracle
 
 TOL = DEFAULT_TOL
@@ -108,3 +109,13 @@ def test_is_qc_takes_at_most_20_ms_at_d16():
 @pytest.mark.parametrize("ops", [[[[1.0]]], [[[0.6]], [[0.8j]]]], ids=["identity", "two-ops"])
 def test_is_qc_at_dimension_one_needs_no_gell_mann_basis(ops):
     assert is_qc(make_channel(ops)) == (True, {"max_commutator": 0.0, "residual": 0.0})
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_is_qc_says_yes_where_is_cbc_does(d):
+    # Coherences scaled by 6e-9 pass CBC within tol, while the commutators of
+    # the outputs exceed it: CBC implies QC, so the public verdict is "yes".
+    channel = partial_dephasing_channel(d, 6e-9)
+    assert is_cbc(channel)[0]
+    ok, witness = is_qc(channel)
+    assert ok and witness["implied_by"] == "cbc", witness

@@ -37,6 +37,9 @@ CASES = {
     "factorization_check": (lambda: factorization_check(MIXED_3, identity_channel(2)),
                             "state", (3, 3), (2, 2)),
     "trace_distance": (lambda: trace_distance(np.eye(2) / 2, MIXED_3), "sigma", (3, 3), (2, 2)),
+    "trace_distance-vector": (lambda: trace_distance([0.5, 0.5], [0.5, 0.5]), "rho", (2,), (1, 1)),
+    "trace_distance-rectangular": (lambda: trace_distance(np.ones((2, 3)), np.ones((2, 3))),
+                                   "rho", (2, 3), (2, 2)),
     "partial_transpose": (lambda: partial_transpose(MIXED_3, 2), "mat", (3, 3), (4, 4)),
     "partial_trace": (lambda: partial_trace(MIXED_3, 2, keep=0), "mat", (3, 3), (4, 4)),
     "from_bloch": (lambda: from_bloch([0.1, 0.2]), "Bloch vector r", (2,), (3,)),
