@@ -13,7 +13,11 @@ Three interchangeable representations are supported:
 
 Choi matrices, affine pairs, class tests and channel powers are all read off
 one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n); the
-canonical Kraus set of the Choi eigendecomposition is cached alike.
+canonical Kraus set of the Choi eigendecomposition is cached alike. Each
+representation owns the split of its output rows into diagonal (D) and
+coherent (O) ones: `_coherent_rows` for T, ``QubitAffine.COHERENT_ROWS`` (the
+x and y rows) for the pair's transfer matrix R. The CBC and DIO residual of
+every matrix unit, read off that split of T, is cached on the channel too.
 
 Composition goes through the Choi matrix of T_outer T_inner whenever the
 product list would exceed d^2 operators, which always suffices.
@@ -87,6 +91,11 @@ class KrausChannel:
         return t
 
     @cached_property
+    def unit_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_unit_image_maxima` of T, each unit's CBC and DIO residual, built on first use."""
+        return _unit_image_maxima(self.transfer, self.dim)
+
+    @cached_property
     def canonical(self) -> KrausChannel:
         """The canonical Kraus set of the Choi eigendecomposition, built on first use."""
         return choi_to_kraus(kraus_to_choi(self))
@@ -133,6 +142,7 @@ class QubitAffine:
 
     m: np.ndarray
     shift: np.ndarray
+    COHERENT_ROWS = slice(1, 3)  # the x and y rows of `transfer`
 
     def __post_init__(self) -> None:
         _require_shape(self.m, (3, 3), "m", dtype=None)
@@ -213,6 +223,25 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     d = channel.dim
     vecs = channel.kraus_ops.reshape(-1, d * d)
     return _reshuffle(vecs.T @ vecs.conj(), d)
+
+
+def _coherent_rows(d: int) -> np.ndarray:
+    """Mask of T's coherent rows u*d + v, u != v (O); the rows u = v are diagonal (D)."""
+    return ~np.eye(d, dtype=bool).ravel()
+
+
+def _unit_image_maxima(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """CBC and DIO residuals of each image Phi(|i><j|), read-only (d, d) arrays over (i, j)
+    read off a transfer matrix: the largest |O-row| entry of column i*d + j, and for i != j
+    the largest |D-row| entry instead. Phi(|j><i|) is the adjoint of Phi(|i><j|), so both
+    arrays are symmetrized: the tie is exact and the first largest unit has i <= j."""
+    mags, coherent = np.abs(t), _coherent_rows(d)
+    off = mags[coherent].max(axis=0, initial=0.0).reshape(d, d)  # O is empty at d = 1
+    on = mags[~coherent].max(axis=0).reshape(d, d)
+    np.fill_diagonal(on, off.diagonal())  # DIO needs Phi(|i><i|) diagonal
+    maxima = np.stack([np.maximum(off, off.T), np.maximum(on, on.T)])
+    maxima.flags.writeable = False
+    return tuple(maxima)
 
 
 # Columns vec(I), vec(sigma_x), vec(sigma_y), vec(sigma_z); P^dag P = 2 I.

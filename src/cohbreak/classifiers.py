@@ -6,9 +6,12 @@ Classes and their decision procedures:
   decomposition, on which membership can depend, so ``classify``, the
   breaking index and the factorization law read them down one ladder of
   Kraus sets: given, via CBC, then the cached canonical Choi-extracted set.
-* CBC / DIO -- decomposition-independent masked maxima over the images of
-  the d^2 matrix units |i><j| (linearity makes matrix units sufficient),
-  the columns of the transfer matrix T.
+* CBC / DIO -- decomposition-independent maxima over the images of the d^2
+  matrix units |i><j| (linearity makes matrix units sufficient), the columns
+  of the transfer matrix T, split by the channel into its coherent and
+  diagonal rows. The channel caches these per-unit maxima (`unit_maxima`),
+  so it computes them at most once across `classify`, `is_cbc`, `is_dio`,
+  `is_qc` and the incoherence ladder.
 * QC -- the outputs of a Hermitian basis must commute: the measure-and-
   prepare form with rank-one projectors in some orthonormal basis.
   Commuting Hermitian matrices share the eigenbasis of a generic member, so
@@ -36,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine
-from .linalg import generalized_gell_mann
+from .channels import KrausChannel, QubitAffine, _unit_image_maxima  # re-exported
+from .linalg import _require_tol, generalized_gell_mann
 
 DEFAULT_TOL = 1e-8
 _QC_BAND = 1e3  # QC residuals within this factor of tol go to the pairwise test
@@ -106,20 +109,6 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     return True, {"residual": float(second.max())}
 
 
-def _unit_image_maxima(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """CBC and DIO residuals of each image Phi(|i><j|) as (d, d) arrays over (i, j) read
-    off a transfer matrix: the largest |off-diagonal| entry, and for i != j the largest
-    |diagonal| entry instead. Phi(|j><i|) is the adjoint of Phi(|i><j|), so both arrays
-    are symmetrized: the tie is exact and the first largest unit has i <= j."""
-    mags = np.abs(t).reshape(d, d, d, d)  # [u, v, i, j]
-    diag = np.arange(d)
-    on = mags[diag, diag].max(axis=0)
-    mags[diag, diag] = 0.0
-    off = mags.max(axis=(0, 1))
-    on[diag, diag] = off[diag, diag]  # DIO needs Phi(|i><i|) diagonal
-    return np.maximum(off, off.T), np.maximum(on, on.T)
-
-
 def _unit_verdict(residuals: np.ndarray, tol: float):
     """(ok, witness) naming the first unit (i, j) with the largest residual."""
     flat = int(np.argmax(residuals))
@@ -136,16 +125,16 @@ def is_cbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Decomposition independent. Returns (ok, witness) with the offending
     unit (i, j) and the largest off-diagonal residual.
     """
-    return _unit_verdict(_unit_image_maxima(channel.transfer, channel.dim)[0], tol)
+    return _unit_verdict(channel.unit_maxima[0], tol)
 
 
 def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
     """Qubit coherence-breaking test on the affine pair.
 
     The x and y output components must vanish for every input, i.e. the
-    first two rows of M and the first two shift components are zero.
+    pair's coherent rows (the first two rows of M and of the shift) are zero.
     """
-    return float(np.abs(rep.transfer[1:3]).max()) <= tol
+    return float(np.abs(rep.transfer[rep.COHERENT_ROWS]).max()) <= tol
 
 
 def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -154,7 +143,7 @@ def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Concretely: Phi(|i><i|) must be diagonal and Phi(|i><j|), i != j, must
     have zero diagonal.
     """
-    return _unit_verdict(_unit_image_maxima(channel.transfer, channel.dim)[1], tol)
+    return _unit_verdict(channel.unit_maxima[1], tol)
 
 
 @lru_cache(maxsize=None)
@@ -253,19 +242,19 @@ class ClassificationReport:
                    {k: dict(v) for k, v in data["evidence"].items()})
 
 
-def _given_or_canonical(predicate, channel: KrausChannel, tol: float, cbc=None,
+def _given_or_canonical(predicate, channel: KrausChannel, tol: float, cbc: bool,
                         refuted: bool = False):
     """Try a pattern predicate down one ladder of Kraus sets, the first to pass
     deciding: the given set; "via-cbc", the measure-and-prepare set of a CBC
-    channel, when `cbc(channel, tol)` (`is_cbc` or its known verdict; None for a
-    class that misses some CBC channel) says yes; the canonical set, unless the
-    class is `refuted`. Returns the set that passed ("given", "via-cbc",
-    "canonical" or None) and the witness of each set tried, by name."""
+    channel, when the class holds every CBC channel (`cbc`) and `is_cbc` says
+    yes; the canonical set, unless the class is `refuted`. Returns the set that
+    passed ("given", "via-cbc", "canonical" or None) and the witness of each set
+    tried, by name."""
     witnesses = {}
     ok, witnesses["given"] = predicate(channel, tol)
     if ok:
         return "given", witnesses
-    ok, witness = cbc(channel, tol) if cbc else (False, {})
+    ok, witness = is_cbc(channel, tol) if cbc else (False, {})
     if ok:
         witnesses["via-cbc"] = {"decomposition": "via-cbc", **witness}
         return "via-cbc", witnesses
@@ -289,24 +278,25 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
       channel, and takes the passing PPT verdict instead.
 
     Where a verdict comes from an inclusion and not from the class's own
-    test, its witness carries ``"implied_by"``, the including class.
+    test, its witness carries ``"implied_by"``, the including class. tol must
+    be finite and > 0 (ParameterOutOfRangeError otherwise).
     """
+    _require_tol(tol)
     report, d = ClassificationReport(tolerance=tol), channel.dim
-    off, dio = _unit_image_maxima(channel.transfer, d)
-    cbc_ok, cbc = _unit_verdict(off, tol)
+    off, dio = channel.unit_maxima
     bound = 2 * d * d * tol  # IO in MIO, SIO in DIO
     v, e = report.verdicts, report.evidence
     for name, predicate, via_cbc, refuted in (
-        ("incoherent", is_incoherent_kraus, lambda *_: (cbc_ok, cbc), off.diagonal().max() > bound),
-        ("sio", is_sio, None, dio.max() > bound),
-        ("scbc", is_scbc, lambda *_: (cbc_ok, cbc), True),
+        ("incoherent", is_incoherent_kraus, True, off.diagonal().max() > bound),
+        ("sio", is_sio, False, dio.max() > bound),
+        ("scbc", is_scbc, True, True),
     ):
         passed, witnesses = _given_or_canonical(predicate, channel, tol, via_cbc, refuted)
         e[name] = {**witnesses[passed or "given"], "decomposition": passed or "given"}
         v[name] = "yes" if passed else "no"
+    cbc_ok, e["cbc"] = is_cbc(channel, tol)
     v["scbc"] = v["cbc"] = "yes" if cbc_ok else "no"
-    e["cbc"] = cbc
-    dio_ok, e["dio"] = _unit_verdict(dio, tol)
+    dio_ok, e["dio"] = is_dio(channel, tol)
     v["dio"] = "yes" if dio_ok else "no"
 
     qc_ok, e["qc"] = is_qc(channel, tol)

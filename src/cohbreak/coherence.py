@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import von_neumann_entropy
+from .linalg import _require_tol, von_neumann_entropy
 
 DEFAULT_INCOHERENCE_TOL = 1e-9
 
@@ -38,9 +38,8 @@ def c_relative_entropy(rho: np.ndarray) -> float:
 
 
 def is_incoherent_state(rho: np.ndarray, tol: float = DEFAULT_INCOHERENCE_TOL) -> bool:
-    """True iff every off-diagonal magnitude is at most tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """True iff every off-diagonal magnitude is at most tol, a finite tol > 0."""
+    _require_tol(tol)
     rho = np.asarray(rho, dtype=complex)
     off = np.abs(rho - np.diag(np.diag(rho)))
     return bool(off.max() <= tol) if off.size else True

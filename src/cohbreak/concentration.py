@@ -27,7 +27,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
-from .states import haar_random_kets
+from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
 # Bytes a chunk holds at once; `_sample_entries` counts a sample's share.
@@ -136,12 +136,6 @@ def _apply_legs(factors: list[KrausChannel], pairs: np.ndarray) -> np.ndarray:
     out = spare.reshape(b, *dims, *dims)
     out[...] = x.reshape(pairs.shape).transpose(np.argsort(_pair_order(len(dims))))
     return out.reshape(b, d, d)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ParameterOutOfRangeError(f"need seed >= 0, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def _chunk(entries: int) -> int:

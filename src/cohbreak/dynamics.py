@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, apply
-from .classifiers import DEFAULT_TOL, _given_or_canonical, is_cbc, is_incoherent_kraus
+from .channels import KrausChannel, QubitAffine, _coherent_rows, apply
+from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
 from .errors import (
     HypothesisViolatedError,
@@ -24,7 +24,7 @@ from .errors import (
     NotIncoherentChannelError,
     ParameterOutOfRangeError,
 )
-from .linalg import _require_shape, require_finite
+from .linalg import _require_shape, _require_tol, require_finite
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -55,8 +55,10 @@ class IndexResult:
 def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
     """Certify the incoherent Kraus pattern on the ladder that `classify` uses:
     returns "given", "via-cbc" or "canonical", else raises NotIncoherentChannelError
-    with the pattern witnesses of the given and the canonical set."""
-    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
+    with the pattern witnesses of the given and the canonical set. tol must be
+    finite and > 0 (ParameterOutOfRangeError otherwise)."""
+    _require_tol(tol)
+    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
     if decomposition is None:
         raise NotIncoherentChannelError(
             "no incoherent Kraus pattern found "
@@ -86,20 +88,22 @@ def coherence_breaking_index(
 ) -> IndexResult:
     """Least n with an all-diagonal matrix-unit image for the n-th power.
 
-    The channel must certify incoherent. The residual of T^n is the largest
+    The channel must certify incoherent, which checks tol as
+    `certify_incoherent` does. The residual of T^n is the largest
     off-diagonal entry of any matrix-unit image, as in `is_cbc`. Exhausting
     the cap is a result, not an error.
     """
     certify_incoherent(channel, tol)
-    off_diagonal = ~np.eye(channel.dim, dtype=bool).ravel()  # rows u*d + v with u != v
-    return _first_breaking_power(channel.transfer, off_diagonal, cap, tol)
+    return _first_breaking_power(channel.transfer, _coherent_rows(channel.dim), cap, tol)
 
 
 def coherence_breaking_index_affine(
     rep: QubitAffine, cap: int = DEFAULT_INDEX_CAP, tol: float = DEFAULT_TOL
 ) -> IndexResult:
-    """Breaking index on the powers of the pair's Pauli transfer matrix, as in `is_cbc_affine`."""
-    return _first_breaking_power(rep.transfer, slice(1, 3), cap, tol)
+    """Breaking index on the powers of the pair's Pauli transfer matrix, as in
+    `is_cbc_affine`; tol must be finite and > 0."""
+    _require_tol(tol)
+    return _first_breaking_power(rep.transfer, rep.COHERENT_ROWS, cap, tol)
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,11 @@ def evolve(
     steps: int,
     tol: float = DEFAULT_SUDDEN_DEATH_TOL,
 ) -> CoherenceTrajectory:
-    """Track c_l1 under repeated channel application (a stroboscopic run)."""
+    """Track c_l1 under repeated channel application (a stroboscopic run);
+    sudden death is the first step at most tol, a finite tol > 0."""
     if steps < 1:
         raise ParameterOutOfRangeError(f"need steps >= 1, got {steps}")
+    _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
     values = [c_l1(state)]
@@ -198,10 +204,12 @@ def factorization_check(
 
     The law needs Phi(I/d) diagonal, which every incoherent channel
     satisfies; the result records whether the stronger Kraus-pattern
-    certificate held or only the diagonal-fixed-point hypothesis.
+    certificate held or only the diagonal-fixed-point hypothesis. tol must
+    be finite and > 0.
     """
+    _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
-    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, is_cbc)
+    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
     mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)
     if not is_incoherent_state(mixed_image, tol):

@@ -41,8 +41,8 @@ class NotPOVMError(CohbreakError):
     """Effects are not all PSD or do not sum to the identity."""
 
 
-class ParameterOutOfRangeError(CohbreakError):
-    """A numeric parameter violates its documented range."""
+class ParameterOutOfRangeError(CohbreakError, ValueError):
+    """A numeric parameter violates its documented range (a bad argument, so a ValueError)."""
 
 
 class NotIncoherentChannelError(CohbreakError):

@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteError,
     NotDensityMatrixError,
     NotHermitianError,
+    ParameterOutOfRangeError,
 )
 
 # Numerical tolerances (double precision, dimensions up to a few hundred).
@@ -36,6 +37,12 @@ def require_finite(a, what: str) -> None:
     """Raise NonFiniteError on a NaN or infinite entry (NaN > tol is False)."""
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} has a NaN or infinite entry")
+
+
+def _require_tol(tol: float) -> None:
+    """Raise ParameterOutOfRangeError unless tol is finite and > 0 (NaN fails both)."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterOutOfRangeError(f"need a finite tol > 0, got {tol}")
 
 
 def _require_shape(a, shape: tuple, what: str, dtype=complex) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError
+from .errors import (BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError,
+                     ParameterOutOfRangeError)
 from .linalg import PAULIS, HermitianBasis, _require_shape, assert_density_matrix, require_finite
 
 
@@ -67,10 +68,15 @@ def haar_random_kets(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterOutOfRangeError(f"need seed >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def haar_random_pure(d: int, seed: int) -> np.ndarray:
-    """Projector of one Haar-random pure state, deterministic for a seed."""
-    rng = np.random.default_rng(seed)
-    psi = haar_random_kets(d, 1, rng)[0]
+    """Projector of one Haar-random pure state, deterministic for a seed >= 0."""
+    psi = haar_random_kets(d, 1, _rng(seed))[0]
     return np.outer(psi, psi.conj())
 
 
