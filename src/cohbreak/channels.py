@@ -17,7 +17,8 @@ canonical Kraus set of the Choi eigendecomposition is cached alike. Each
 representation owns the split of its output rows into diagonal (D) and
 coherent (O) ones: `_coherent_rows` for T, ``QubitAffine.COHERENT_ROWS`` (the
 x and y rows) for the pair's transfer matrix R. The CBC and DIO residual of
-every matrix unit, read off that split of T, is cached on the channel too.
+every matrix unit, read off that split of T, is cached on the channel too, as
+are the diagonals of a stack of diagonal Kraus operators (`kraus_diagonals`).
 
 Composition goes through the Choi matrix of T_outer T_inner whenever the
 product list would exceed d^2 operators, which always suffices.
@@ -94,6 +95,12 @@ class KrausChannel:
     def unit_maxima(self) -> tuple[np.ndarray, np.ndarray]:
         """`_unit_image_maxima` of T, each unit's CBC and DIO residual, built on first use."""
         return _unit_image_maxima(self.transfer, self.dim)
+
+    @cached_property
+    def kraus_diagonals(self) -> np.ndarray | None:
+        """Read-only (n_ops, d) diagonals of the Kraus operators if all are diagonal, else None."""
+        diag = self.kraus_ops.diagonal(axis1=1, axis2=2)  # a read-only view
+        return diag if np.count_nonzero(self.kraus_ops) == np.count_nonzero(diag) else None
 
     @cached_property
     def canonical(self) -> KrausChannel:

@@ -65,6 +65,7 @@ def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Returns (ok, witness); on failure the witness names the first violating
     (operator, column) and the achieved residual (second-largest magnitude).
     """
+    _require_tol(tol)
     second = _second_largest(np.abs(channel.kraus_ops), axis=1)
     bad = np.argwhere(second > tol)  # row-major order: first operator, then column
     if len(bad):
@@ -79,7 +80,7 @@ def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     At most one entry above tol per column and per row, the shape of
     d_ij |pi_i(j)><j| operators.
     """
-    ok_col, witness = is_incoherent_kraus(channel, tol)
+    ok_col, witness = is_incoherent_kraus(channel, tol)  # checks tol
     if not ok_col:
         witness["axis"] = "column"
         return False, witness
@@ -98,6 +99,7 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     to a reference-basis vector, so every selective branch K rho K^dag is
     diagonal.
     """
+    _require_tol(tol)
     row_norms = np.abs(channel.kraus_ops).max(axis=2)
     second = _second_largest(row_norms, axis=1)
     bad = np.flatnonzero(second > tol)
@@ -125,6 +127,7 @@ def is_cbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Decomposition independent. Returns (ok, witness) with the offending
     unit (i, j) and the largest off-diagonal residual.
     """
+    _require_tol(tol)
     return _unit_verdict(channel.unit_maxima[0], tol)
 
 
@@ -134,6 +137,7 @@ def is_cbc_affine(rep: QubitAffine, tol: float = DEFAULT_TOL) -> bool:
     The x and y output components must vanish for every input, i.e. the
     pair's coherent rows (the first two rows of M and of the shift) are zero.
     """
+    _require_tol(tol)
     return float(np.abs(rep.transfer[rep.COHERENT_ROWS]).max()) <= tol
 
 
@@ -143,6 +147,7 @@ def is_dio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     Concretely: Phi(|i><i|) must be diagonal and Phi(|i><j|), i != j, must
     have zero diagonal.
     """
+    _require_tol(tol)
     return _unit_verdict(channel.unit_maxima[1], tol)
 
 
@@ -173,6 +178,7 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     the worst-residual output with every output (of every pair, if exact).
     CBC implies QC: a "no" that `is_cbc` overturns is "yes", ``"implied_by": "cbc"``.
     """
+    _require_tol(tol)
     d, t = channel.dim, channel.transfer
     if d == 1:  # a single output, which commutes with itself
         return True, {"max_commutator": 0.0, "residual": 0.0}
@@ -206,6 +212,7 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     and the minimum partial-transpose eigenvalue as witness. For d <= 2 PPT
     decides entanglement breaking; for d >= 3 it is only a no-certificate.
     """
+    _require_tol(tol)
     d = channel.dim  # PT[(u, v), (r, s)] = Choi[(u, s), (r, v)] = T[(u, r), (s, v)] / d
     pt = channel.transfer.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d) / d
     min_eig = float(np.linalg.eigvalsh(pt).min())

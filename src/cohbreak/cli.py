@@ -13,9 +13,9 @@ suffix ``.json``, so PATH must not end in ``.json``). Exit codes: 0
 success, 2 usage or malformed input (an input file that cannot be read or
 parsed, or whose dimension is not --dim, is named in the message), 3
 domain error (e.g. a channel that cannot be certified incoherent, a state
-of another dimension than the channel, or a numpy LinAlgError while
-computing). All randomness is seeded explicitly so outputs are
-byte-reproducible.
+of another dimension than the channel, a numpy LinAlgError while computing,
+or running out of memory while loading or computing). All randomness is
+seeded explicitly so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -181,27 +181,37 @@ def _read_json(path: str):
         return json.load(handle)
 
 
+def _out_of_memory(args, d, where: str = "") -> int:
+    print(f"error: out of memory in {args.command} at d = {d}{where}", file=sys.stderr)
+    return EXIT_DOMAIN
+
+
 def _load(args) -> list:
     """The channel and, for evolve, the state. A file that cannot be read or parsed, or a
-    channel file whose dimension is not --dim, is a usage error whose message names it."""
-    path = args.channel
+    channel file whose dimension is not --dim, is a usage error whose message names it;
+    running out of memory exits EXIT_DOMAIN, naming the file and its declared dimension."""
+    path, dim = args.channel, args.dim
     try:
         if path == "identity":
             if args.dim is None:
                 PARSER.error("--channel identity requires --dim")
             inputs = [identity_channel(args.dim)]
         else:
-            inputs = [channel_from_json(_read_json(path))]
+            obj = _read_json(path)
+            dim = obj.get("dim", dim) if isinstance(obj, dict) else dim
+            inputs = [channel_from_json(obj)]
             if args.dim not in (None, inputs[0].dim):
                 PARSER.error(f"{path}: --dim {args.dim} does not match the channel's "
                              f"dimension {inputs[0].dim}")
         if args.command == "evolve":
-            path = args.state
+            path, dim = args.state, inputs[0].dim
             inputs.append(state_from_json(_read_json(path)))
     except json.JSONDecodeError as exc:
         PARSER.error(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
     except (OSError, ValueError, CohbreakError) as exc:
         PARSER.error(f"{path}: {exc}")
+    except MemoryError:
+        raise SystemExit(_out_of_memory(args, dim, f" loading {path}")) from None
     return inputs
 
 
@@ -232,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CohbreakError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        return _out_of_memory(args, inputs[0].dim)
     _write(texts, args.out)
     return EXIT_OK
 

@@ -7,14 +7,17 @@ empirical frequencies against the bounds.
 
 Channels may be passed either as a single KrausChannel or as any iterable of
 KrausChannel tensor factors (left to right), applied leg by leg through each
-leg's cached `transfer` (dk^4 entries). Pure inputs to a single factor go
-through its (n_ops, d, d) `kraus_ops` array in one GEMM, w = K psi, and
-never build the d^4 transfer matrix; a rank-1 channel gives
-c_l1 = (sum |w|)^2 - sum |w|^2 directly; a product forms |psi><psi| in
-leg-pair order and runs the legs in two alternating buffers. Samples run in
-chunks sized so that everything a chunk holds at once fits the
-`_CHUNK_BYTES` byte budget, and `coherence.c_l1` reads each chunk's outputs
-as one batch.
+leg's cached `transfer` (dk^4 entries). A single factor on pure inputs never
+builds its d^4 transfer matrix. A rank-1 channel gives
+c_l1 = (sum |w|)^2 - sum |w|^2 from w = K psi, elementwise for a diagonal K
+(the identity, diagonal unitaries). Diagonal Kraus operators D[n] = diag(K_n)
+make a Schur multiplier, Phi(rho)_ij = M_ij rho_ij with M = D^T conj(D), so
+c_l1 = |psi|^T W |psi| with W = |M| off the diagonal: one (b, d) x (d, d)
+product. Any other single factor goes through its (n_ops, d, d) `kraus_ops`
+in one GEMM, and a product forms |psi><psi| in leg-pair order and runs the
+legs in two alternating buffers. Those two run in chunks sized so that
+everything a chunk holds at once fits the `_CHUNK_BYTES` byte budget, and
+`coherence.c_l1` reads each chunk's outputs as one batch.
 """
 
 from __future__ import annotations
@@ -144,8 +147,9 @@ def _chunk(entries: int) -> int:
 
 
 def _sample_entries(factors: list[KrausChannel], d: int) -> int:
-    """Complex entries a pure sample holds at once: w, its conjugate and two
-    d x d arrays for one factor, at most three d x d arrays for a product."""
+    """Complex entries a chunked pure sample holds at once: w, its conjugate and two
+    d x d arrays for one factor, at most three d x d arrays for a product. The
+    rank-1 and Schur (diagonal Kraus) paths hold no d x d array and run unchunked."""
     return 3 * d * d if len(factors) > 1 else 2 * d * (factors[0].n_ops + d)
 
 
@@ -168,10 +172,14 @@ def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
 def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
     factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, samples, _rng(seed))
+    diag = factors[0].kraus_diagonals if len(factors) == 1 else None
     if len(factors) == 1 and factors[0].n_ops == 1:
-        # Rank 1 (identity or unitary): c_l1 = (sum |w|)^2 - sum |w|^2.
-        mags = np.abs(kets @ factors[0].kraus_ops[0].T)
+        mags = np.abs(kets * diag[0] if diag is not None else kets @ factors[0].kraus_ops[0].T)
         return mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
+    if diag is not None:
+        mags, weights = np.abs(kets), np.abs(diag.T @ diag.conj())
+        np.fill_diagonal(weights, 0.0)
+        return ((mags @ weights) * mags).sum(axis=1)
     step = _chunk(_sample_entries(factors, d))
     out = np.empty(samples)
     for start in range(0, samples, step):

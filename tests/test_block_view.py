@@ -17,7 +17,18 @@ from cohbreak.channels import (
     random_incoherent_channel,
     unitary_channel,
 )
-from cohbreak.classifiers import classify, is_cbc, is_dio, is_qc, matrix_unit_images
+from cohbreak.classifiers import (
+    classify,
+    is_cbc,
+    is_cbc_affine,
+    is_dio,
+    is_entanglement_breaking,
+    is_incoherent_kraus,
+    is_qc,
+    is_scbc,
+    is_sio,
+    matrix_unit_images,
+)
 from cohbreak.coherence import is_incoherent_state
 from cohbreak.dynamics import (
     certify_incoherent,
@@ -111,6 +122,26 @@ TOL_ENTRY_POINTS = {
 def test_entry_points_reject_a_tolerance_that_is_not_finite_and_positive(entry, tol):
     with pytest.raises(ParameterOutOfRangeError, match="finite tol > 0"):
         TOL_ENTRY_POINTS[entry](tol)
+
+
+PREDICATES = {
+    "is_cbc": lambda tol: is_cbc(identity_channel(3), tol),
+    "is_dio": lambda tol: is_dio(identity_channel(3), tol),
+    "is_qc": lambda tol: is_qc(identity_channel(3), tol),
+    "is_cbc_affine": lambda tol: is_cbc_affine(affine_from_kraus(dephasing_channel(2)), tol),
+    "is_incoherent_kraus": lambda tol: is_incoherent_kraus(identity_channel(3), tol),
+    "is_sio": lambda tol: is_sio(identity_channel(3), tol),
+    "is_scbc": lambda tol: is_scbc(dephasing_channel(3), tol),
+    "is_entanglement_breaking": lambda tol: is_entanglement_breaking(dephasing_channel(2), tol),
+}
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("predicate", sorted(PREDICATES))
+def test_single_class_predicates_reject_a_tolerance_that_is_not_finite_and_positive(predicate,
+                                                                                   tol):
+    with pytest.raises(ParameterOutOfRangeError, match="finite tol > 0"):
+        PREDICATES[predicate](tol)
 
 
 @pytest.mark.parametrize("seed", [-1, -2**40])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohbreak import cli
 from cohbreak.channels import (
     cbc_from_povm,
     channel_to_json,
@@ -165,6 +166,36 @@ def test_linalg_error_while_computing_is_domain_error(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert main(["classify", "--channel", "identity", "--dim", "2"]) == 3
     assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_running_out_of_memory_while_loading_is_domain_error(files, monkeypatch, capsys):
+    # The parser is replaced, so nothing is allocated for the declared d = 4096.
+    path = files["tmp"] / "huge.json"
+    path.write_text(json.dumps({"dim": 4096, "sparse": [[[0, 0, 1, 0]]]}))
+    monkeypatch.setattr(cli, "channel_from_json", _out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--channel", str(path)])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == (
+        f"error: out of memory in classify at d = 4096 loading {path}\n")
+
+
+@pytest.mark.parametrize("command, function, extra", [
+    ("classify", "classify", []),
+    ("concentrate", "run_concentration_experiment", ["--samples", "4", "--seed", "1",
+                                                     "--eps", "0.1"]),
+])
+def test_running_out_of_memory_while_computing_is_domain_error(monkeypatch, capsys, command,
+                                                               function, extra):
+    monkeypatch.setattr(cli, function, _out_of_memory)
+    assert main([command, "--channel", "identity", "--dim", "3", *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory in {command} at d = 3\n"
+    assert captured.out == ""
 
 
 def test_evolve_nan_state_is_usage_error(files, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohbreak import concentration
 from cohbreak.channels import (
     apply,
     dephasing_channel,
@@ -12,6 +13,7 @@ from cohbreak.channels import (
     haar_unitary,
     identity_channel,
     kron_channel,
+    make_channel,
     partial_dephasing_channel,
     random_channel,
     unitary_channel,
@@ -20,6 +22,7 @@ from cohbreak.coherence import c_l1
 from cohbreak.concentration import (
     _CHUNK_BYTES,
     ConcentrationReport,
+    _pure_outputs,
     _sample_output_coherences,
     apply_batch,
     contraction_check,
@@ -364,3 +367,60 @@ def test_rank_one_coherence_matches_full_state(d, seed):
     kets = haar_random_kets(d, 8, np.random.default_rng(seed)) @ u.T
     expected = [c_l1(np.outer(ket, ket.conj())) for ket in kets]
     assert np.abs(values - expected).max() < 1e-12
+
+
+def random_diagonal_channel(d: int, n_ops: int, rng: np.random.Generator):
+    """n_ops diagonal Kraus operators with random complex entries, sum_n |K_n,ii|^2 = 1."""
+    diag = rng.normal(size=(n_ops, d)) + 1j * rng.normal(size=(n_ops, d))
+    diag /= np.linalg.norm(diag, axis=0)
+    return make_channel([np.diag(row) for row in diag], dim=d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_schur_coherences_match_the_output_states(data, d, seed):
+    n_ops = data.draw(st.integers(1, d + 2), label="n_ops")
+    channel = random_diagonal_channel(d, n_ops, np.random.default_rng(seed))
+    assert channel.kraus_diagonals is not None
+    values = _sample_output_coherences(channel, 8, seed)
+    expected = c_l1(_pure_outputs([channel], haar_random_kets(d, 8, np.random.default_rng(seed))))
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 64, 256])
+def test_identity_coherences_are_bit_identical_to_the_kraus_product(d):
+    kets = haar_random_kets(d, 256, np.random.default_rng(9001))
+    mags = np.abs(kets @ identity_channel(d).kraus_ops[0].T)
+    expected = mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
+    np.testing.assert_array_equal(_sample_output_coherences(identity_channel(d), 256, 9001),
+                                  expected)
+
+
+def test_one_off_diagonal_entry_takes_the_general_path(monkeypatch):
+    dephasing = partial_dephasing_channel(3, 0.5)
+    assert dephasing.kraus_diagonals.shape == (4, 3)
+    with pytest.raises(ValueError):  # read-only
+        dephasing.kraus_diagonals[0, 0] = 0.0
+    stack = dephasing.kraus_ops.copy()
+    theta = 1e-3  # a small rotation of the first two levels keeps the set CPTP
+    rotation = np.eye(3, dtype=complex)
+    rotation[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    stack[0] = stack[0] @ rotation
+    channel = make_channel(stack, dim=3)
+    assert channel.kraus_diagonals is None
+    calls = []
+    original = concentration._pure_outputs
+    monkeypatch.setattr(concentration, "_pure_outputs",
+                        lambda factors, kets: calls.append(len(kets)) or original(factors, kets))
+    values = _sample_output_coherences(channel, 16, 4)
+    assert calls == [16]
+    expected = c_l1(original([channel], haar_random_kets(3, 16, np.random.default_rng(4))))
+    np.testing.assert_array_equal(values, expected)
+
+
+# Seeds fixed in advance; E c_l1 = (pi / 4d) sum_{i != j} |M_ij| = (pi / 4) q (d - 1)
+# for Haar inputs, since (|psi_i|^2) is Dirichlet(1, ..., 1).
+@pytest.mark.parametrize("d, q, seed", [(8, 0.5, 3), (64, 0.5, 2), (16, 0.3, 1)])
+def test_partial_dephasing_mean_matches_the_exact_haar_moment(d, q, seed):
+    mean, stderr = estimate_mean_coherence(partial_dephasing_channel(d, q), 4000, seed)
+    assert abs(mean - np.pi / 4 * q * (d - 1)) < 4.0 * stderr
