@@ -27,7 +27,7 @@ product list would exceed d^2 operators, which always suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     NotTracePreservingError,
     ParameterOutOfRangeError,
 )
-from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_shape, hermiticity_defect,
+from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_int, _require_shape, hermiticity_defect,
                      partial_trace, require_finite)
 from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex_matrix_to_json,
                      json_parser)
@@ -65,8 +65,8 @@ class KrausChannel:
         d, ops = self.dim, [np.asarray(k, dtype=complex) for k in self.kraus_ops]
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
-        if d < 1:
-            raise InvalidDimensionError(f"need d >= 1, got {d}")
+        d = _require_int(d, 1, "d", InvalidDimensionError)
+        object.__setattr__(self, "dim", d)
         for n, k in enumerate(ops):
             _require_shape(k, (d, d), f"Kraus operator {n}")
         stack = np.array(ops)
@@ -189,13 +189,9 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
 
 
 def iterate(channel: KrausChannel, n: int) -> KrausChannel:
-    """n-fold composition of a channel with itself, n >= 1."""
-    if n < 1:
-        raise ParameterOutOfRangeError(f"need n >= 1, got {n}")
-    power = channel
-    for _ in range(n - 1):
-        power = compose(power, channel)
-    return power
+    """n-fold composition of a channel with itself, an integer n >= 1."""
+    n = _require_int(n, 1, "n")
+    return reduce(compose, [channel] * n)
 
 
 def _reshuffle(a: np.ndarray, d: int) -> np.ndarray:
@@ -276,9 +272,8 @@ def affine_to_kraus(rep: QubitAffine) -> KrausChannel:
 
 
 def affine_iterate(rep: QubitAffine, n: int) -> QubitAffine:
-    """Affine pair of the n-th channel power, read off R^n: (M^n, sum_{k<n} M^k shift)."""
-    if n < 1:
-        raise ParameterOutOfRangeError(f"need n >= 1, got {n}")
+    """Pair of the n-th channel power, integer n >= 1, read off R^n: (M^n, sum_{k<n} M^k shift)."""
+    n = _require_int(n, 1, "n")
     r = np.linalg.matrix_power(rep.transfer, n)
     return QubitAffine(m=r[1:, 1:], shift=r[1:, 0])
 
@@ -287,7 +282,8 @@ def affine_iterate(rep: QubitAffine, n: int) -> QubitAffine:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    """The do-nothing channel."""
+    """The do-nothing channel on an integer dimension d >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     return make_channel([np.eye(d, dtype=complex)], dim=d)
 
 
@@ -297,14 +293,16 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 
 def dephasing_channel(d: int) -> KrausChannel:
-    """Complete dephasing: rho -> sum_i <i|rho|i> |i><i|."""
+    """Complete dephasing: rho -> sum_i <i|rho|i> |i><i|, for an integer d >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     ops = np.zeros((d, d, d), dtype=complex)
     ops[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     return make_channel(ops, dim=d)
 
 
 def partial_dephasing_channel(d: int, q: float) -> KrausChannel:
-    """rho -> q rho + (1 - q) Delta(rho); scales every coherence by q."""
+    """rho -> q rho + (1 - q) Delta(rho), for an integer d >= 1; scales every coherence by q."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     if not 0.0 <= q <= 1.0:
         raise ParameterOutOfRangeError(f"need q in [0, 1], got {q}")
     ops = np.zeros((d + 1, d, d), dtype=complex)
@@ -344,7 +342,7 @@ def y_to_x_channel(alpha: float) -> KrausChannel:
     an explicitly incoherent decomposition (each operator is diagonal or
     antidiagonal), which the canonical Choi-extracted set is not.
     """
-    if abs(alpha) > 1.0:
+    if not abs(alpha) <= 1.0:
         raise ParameterOutOfRangeError(f"need |alpha| <= 1, got {alpha}")
     w_plus = (1.0 + alpha) / 4.0
     w_minus = (1.0 - alpha) / 4.0

@@ -30,6 +30,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
+from .linalg import _require_int, _require_shape, require_finite
 from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
@@ -38,13 +39,12 @@ _CHUNK_BYTES = 32 * 2**20
 
 
 def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
-    """Tail bound 2 exp(-d eps^2 / (18 pi^3 eta_c^2 eta_ch^2 ln 2)).
+    """Tail bound 2 exp(-d eps^2 / (18 pi^3 eta_c^2 eta_ch^2 ln 2)), integer d >= 1.
 
     eta_c is the Lipschitz constant of the coherence measure with respect to
     trace distance and eta_ch the channel's trace-norm contraction factor.
     """
-    if d < 1:
-        raise ParameterOutOfRangeError(f"need d >= 1, got {d}")
+    d = _require_int(d, 1, "d")
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
     if not np.isfinite([eta_c, eta_ch]).all() or eta_c <= 0 or eta_ch <= 0:
@@ -58,10 +58,9 @@ def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
 def corollary_bound(d: int, epsilon: float, eta_ch: float) -> float:
     """Scaled-l1 specialization: 2 exp(-(d-1)^2 eps^2 / (18 pi^3 eta_ch^2 d ln 2)).
 
-    Algebraically identical to levy_bound with eta_c = d/(d-1).
+    Algebraically identical to levy_bound with eta_c = d/(d-1); d is an integer >= 2.
     """
-    if d < 2:
-        raise ParameterOutOfRangeError(f"need d >= 2, got {d}")
+    d = _require_int(d, 2, "d")
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
     if not np.isfinite(eta_ch) or eta_ch <= 0:
@@ -71,17 +70,18 @@ def corollary_bound(d: int, epsilon: float, eta_ch: float) -> float:
 
 
 def lipschitz_scaled_l1(d: int) -> float:
-    """Lipschitz constant d/(d-1) of c_l1/(d-1) with respect to trace distance."""
-    if d < 2:
-        raise InvalidDimensionError(f"need d >= 2, got {d}")
+    """Lipschitz constant d/(d-1) of c_l1/(d-1) with respect to trace distance, integer d >= 2."""
+    d = _require_int(d, 2, "d", InvalidDimensionError)
     return d / (d - 1.0)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, at z = 3 standard errors."""
+    """Wilson score interval, z = 3, for integers 0 <= successes <= trials, trials >= 1."""
     z = 3.0
-    if trials < 1:
-        raise ParameterOutOfRangeError(f"need trials >= 1, got {trials}")
+    trials = _require_int(trials, 1, "trials")
+    successes = _require_int(successes, 0, "successes")
+    if successes > trials:
+        raise ParameterOutOfRangeError(f"need successes <= trials, got {successes} > {trials}")
     p_hat = successes / trials
     denom = 1.0 + z**2 / trials
     center = (p_hat + z**2 / (2 * trials)) / denom
@@ -107,14 +107,12 @@ def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
     (row, col) pair is one axis, and each leg is one matmul with its cached
     `transfer`: dk^4 entries, the same array `classify` builds. A matmul
     moves its leg to the back, so after the last leg the order is restored.
+    Raises DimensionMismatchError unless rhos is (b, d, d), NonFiniteError on NaN or inf.
     """
     factors, d = _normalize_factors(channel)
     dims = [f.dim for f in factors]
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.shape[1:] != (d, d):
-        raise ParameterOutOfRangeError(
-            f"batch of shape {rhos.shape} does not match total dimension {d}"
-        )
+    rhos = _require_shape(rhos, np.shape(rhos)[:1] + (d, d), "batch")
+    require_finite(rhos, "batch")
     pairs = rhos.reshape(len(rhos), *dims, *dims).transpose(_pair_order(len(dims)))
     return _apply_legs(factors, pairs.copy())  # a copy: _apply_legs overwrites it
 
@@ -188,12 +186,11 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
 
 
 def estimate_mean_coherence(channel, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean of c_l1 over Haar-random pure inputs.
+    """Monte Carlo mean of c_l1 over `samples` (an integer >= 1) Haar-random pure inputs.
 
-    Returns (mean, standard error); deterministic for a fixed seed.
+    Returns (mean, standard error); deterministic for a fixed integer seed >= 0.
     """
-    if samples < 1:
-        raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
+    samples = _require_int(samples, 1, "samples")
     values = _sample_output_coherences(channel, samples, seed)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
@@ -241,25 +238,25 @@ def run_concentration_experiment(
 ) -> ConcentrationReport:
     """Sample Haar inputs, push them through the channel, tabulate tails.
 
-    eta_channel defaults to 1, which is always admissible because channels
-    contract the trace norm; contraction_check confirms this numerically.
+    samples is an integer >= 1 and seed an integer >= 0. eta_channel defaults
+    to 1, which is always admissible because channels contract the trace norm;
+    contraction_check confirms this numerically.
     """
-    if samples < 1:
-        raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
+    samples = _require_int(samples, 1, "samples")
     if not epsilons:
         raise ParameterOutOfRangeError("need at least one epsilon")
     factors, dim = _normalize_factors(channel)
     if dim != d:
         raise ParameterOutOfRangeError(
-            f"declared dimension {d} does not match channel dimension {dim}"
+            f"declared dimension {d!r} does not match channel dimension {dim}"
         )
     values = _sample_output_coherences(factors, samples, seed)
     scaled = values / (d - 1.0)
     mean_scaled = float(scaled.mean())
     report = ConcentrationReport(
-        dim=d,
+        dim=dim,
         samples=samples,
-        seed=seed,
+        seed=int(seed),  # an integer, checked by _rng when sampling
         channel=label if label is not None else _describe(factors),
         eta_channel=eta_channel,
         mean_c_l1=float(values.mean()),
@@ -285,10 +282,9 @@ def contraction_check(channel, samples: int, seed: int) -> float:
 
     Ratio ||Phi(rho) - Phi(sigma)||_1 / ||rho - sigma||_1 maximized over
     sampled pure-state pairs; monotonicity of the trace norm keeps it at or
-    below 1.
+    below 1. samples is an integer >= 1 and seed an integer >= 0.
     """
-    if samples < 1:
-        raise ParameterOutOfRangeError(f"need samples >= 1, got {samples}")
+    samples = _require_int(samples, 1, "samples")
     factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, 2 * samples, _rng(seed))
     worst = 0.0

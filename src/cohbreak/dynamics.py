@@ -22,9 +22,8 @@ from .errors import (
     IncoherentInputError,
     InvalidDimensionError,
     NotIncoherentChannelError,
-    ParameterOutOfRangeError,
 )
-from .linalg import _require_shape, _require_tol, require_finite
+from .linalg import _require_int, _require_shape, _require_tol, require_finite
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -70,8 +69,7 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
 def _first_breaking_power(t: np.ndarray, rows, cap: int, tol: float) -> IndexResult:
     """Least n <= cap whose power t^n = t^(n-1) t has every entry of the
     coherent output rows at most tol; the residual is their largest entry."""
-    if cap < 1:
-        raise ParameterOutOfRangeError(f"need cap >= 1, got {cap}")
+    cap = _require_int(cap, 1, "cap")
     residuals: list[float] = []
     power = t
     for n in range(1, cap + 1):
@@ -91,7 +89,7 @@ def coherence_breaking_index(
     The channel must certify incoherent, which checks tol as
     `certify_incoherent` does. The residual of T^n is the largest
     off-diagonal entry of any matrix-unit image, as in `is_cbc`. Exhausting
-    the cap is a result, not an error.
+    the cap, an integer >= 1, is a result, not an error.
     """
     certify_incoherent(channel, tol)
     return _first_breaking_power(channel.transfer, _coherent_rows(channel.dim), cap, tol)
@@ -101,7 +99,7 @@ def coherence_breaking_index_affine(
     rep: QubitAffine, cap: int = DEFAULT_INDEX_CAP, tol: float = DEFAULT_TOL
 ) -> IndexResult:
     """Breaking index on the powers of the pair's Pauli transfer matrix, as in
-    `is_cbc_affine`; tol must be finite and > 0."""
+    `is_cbc_affine`; cap is an integer >= 1 and tol finite and > 0."""
     _require_tol(tol)
     return _first_breaking_power(rep.transfer, rep.COHERENT_ROWS, cap, tol)
 
@@ -129,18 +127,16 @@ def evolve(
     steps: int,
     tol: float = DEFAULT_SUDDEN_DEATH_TOL,
 ) -> CoherenceTrajectory:
-    """Track c_l1 under repeated channel application (a stroboscopic run);
-    sudden death is the first step at most tol, a finite tol > 0."""
-    if steps < 1:
-        raise ParameterOutOfRangeError(f"need steps >= 1, got {steps}")
+    """Track c_l1 over `steps` (an integer >= 1) channel applications, a stroboscopic
+    run; sudden death is the first step at most tol, a finite tol > 0."""
+    steps = _require_int(steps, 1, "steps")
     _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
     values = [c_l1(state)]
-    rho = state
     for _ in range(steps):
-        rho = apply(channel, rho)
-        values.append(c_l1(rho))
+        state = apply(channel, state)
+        values.append(c_l1(state))
     death = next((j for j, c in enumerate(values) if c <= tol), None)
     return CoherenceTrajectory(
         steps=tuple(enumerate(values)), sudden_death_step=death, tolerance=tol
@@ -173,8 +169,7 @@ def probe_state(state: np.ndarray) -> ProbeState:
     """
     d = math.isqrt(np.size(state))  # the side of a square array of that size
     h = _require_shape(state, (d, d), "state")
-    if d < 1:
-        raise InvalidDimensionError(f"need d >= 1, got {d}")
+    _require_int(d, 1, "d", InvalidDimensionError)
     require_finite(h, "state")
     h = (h + h.conj().T) / 2
     rho_0 = h - np.trace(h).real / d * np.eye(d)

@@ -45,6 +45,15 @@ def _require_tol(tol: float) -> None:
         raise ParameterOutOfRangeError(f"need a finite tol > 0, got {tol}")
 
 
+def _require_int(value, low: int, what: str, error=ParameterOutOfRangeError) -> int:
+    """value as an int >= low, else raises `error`; a Python or NumPy integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"need an integer {what} >= {low}, got {value!r}")
+    if value < low:
+        raise error(f"need {what} >= {low}, got {value}")
+    return int(value)
+
+
 def _require_shape(a, shape: tuple, what: str, dtype=complex) -> np.ndarray:
     """np.asarray(a, dtype); raises DimensionMismatchError unless it has exactly that shape."""
     a = np.asarray(a, dtype=dtype)
@@ -176,10 +185,9 @@ class HermitianBasis:
 def generalized_gell_mann(d: int) -> HermitianBasis:
     """Generalized Gell-Mann basis of su(d) under the ordering contract above.
 
-    d=2 yields (sigma_x, sigma_y, sigma_z).
+    d=2 yields (sigma_x, sigma_y, sigma_z); d is an integer >= 2.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"need d >= 2, got {d}")
+    d = _require_int(d, 2, "d", InvalidDimensionError)
     gens: list[np.ndarray] = []
     for j in range(d):
         for k in range(j + 1, d):

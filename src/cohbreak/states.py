@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError,
-                     ParameterOutOfRangeError)
-from .linalg import PAULIS, HermitianBasis, _require_shape, assert_density_matrix, require_finite
+from .errors import BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError
+from .linalg import (PAULIS, HermitianBasis, _require_int, _require_shape, assert_density_matrix,
+                     require_finite)
 
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
@@ -39,10 +39,9 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
     """Projector of the phase state (1/sqrt d) sum_j exp(i theta_j) |j>.
 
-    Every diagonal entry equals 1/d and the l1 coherence is d - 1.
+    Every diagonal entry equals 1/d and the l1 coherence is d - 1; d is an integer >= 2.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"need d >= 2, got {d}")
+    d = _require_int(d, 2, "d", InvalidDimensionError)
     if thetas is None:
         thetas = np.zeros(d)
     thetas = _require_shape(thetas, (d,), "thetas", float)
@@ -52,14 +51,14 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
 
 
 def haar_random_kets(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random unit vectors as rows of an (n, d) complex array.
+    """n Haar-random unit vectors as rows of an (n, d) complex array; integers d >= 2, n >= 0.
 
     Standard complex Gaussian components normalized to unit length; the
     global phase is fixed by making the first nonzero amplitude real
     nonnegative so repeated runs are bit-reproducible.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"need d >= 2, got {d}")
+    d = _require_int(d, 2, "d", InvalidDimensionError)
+    n = _require_int(n, 0, "n")
     z = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     z /= np.linalg.norm(z, axis=1)[:, None]
     lead = z[:, 0].copy()
@@ -69,13 +68,12 @@ def haar_random_kets(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ParameterOutOfRangeError(f"need seed >= 0, got {seed}")
+    seed = _require_int(seed, 0, "seed")
     return np.random.default_rng(seed)
 
 
 def haar_random_pure(d: int, seed: int) -> np.ndarray:
-    """Projector of one Haar-random pure state, deterministic for a seed >= 0."""
+    """Projector of one Haar-random pure state, deterministic for an integer seed >= 0."""
     psi = haar_random_kets(d, 1, _rng(seed))[0]
     return np.outer(psi, psi.conj())
 

@@ -466,6 +466,12 @@ def test_y_to_x_channel_is_incoherent_patterned():
         y_to_x_channel(1.5)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_y_to_x_channel_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ParameterOutOfRangeError, match=r"need \|alpha\| <= 1"):
+        y_to_x_channel(alpha)
+
+
 def test_kron_channel_matches_manual_tensor():
     a = gad_channel(0.7, 1.0)
     b = dephasing_channel(2)

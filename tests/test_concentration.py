@@ -33,7 +33,7 @@ from cohbreak.concentration import (
     run_concentration_experiment,
     wilson_interval,
 )
-from cohbreak.errors import InvalidDimensionError, ParameterOutOfRangeError
+from cohbreak.errors import InvalidDimensionError, NonFiniteError, ParameterOutOfRangeError
 from cohbreak.linalg import trace_distance
 from cohbreak.states import haar_random_kets
 from conftest import HADAMARD, random_density_matrix
@@ -116,6 +116,13 @@ def test_wilson_interval_brackets_the_estimate():
     assert lo == 0.0 and hi > 0.0
 
 
+def test_wilson_interval_needs_successes_at_most_trials():
+    # A negative or non-integer count is in tests/test_int_contract.py.
+    with pytest.raises(ParameterOutOfRangeError) as exc:
+        wilson_interval(5, 2)
+    assert str(exc.value) == "need successes <= trials, got 5 > 2"
+
+
 def test_mean_coherence_of_dephasing_is_zero():
     mean, stderr = estimate_mean_coherence(dephasing_channel(2), 500, seed=1)
     assert mean == 0.0 and stderr == 0.0
@@ -168,6 +175,11 @@ def test_apply_batch_heterogeneous_factors():
 
     naive = np.stack([apply(full, rho) for rho in rhos])
     assert np.abs(fast - naive).max() < 1e-12
+
+
+def test_apply_batch_rejects_a_non_finite_batch():
+    with pytest.raises(NonFiniteError, match="batch has a NaN or infinite entry"):
+        apply_batch(gad_channel(0.7, 0.3), np.full((3, 2, 2), np.nan))
 
 
 def test_experiment_report_invariants():

@@ -4,7 +4,9 @@ the argument, the shape it was given and the shape it needs."""
 import numpy as np
 import pytest
 
-from cohbreak.channels import ChoiMatrix, KrausChannel, QubitAffine, apply, identity_channel
+from cohbreak.channels import (ChoiMatrix, KrausChannel, QubitAffine, apply, gad_channel,
+                               identity_channel)
+from cohbreak.concentration import apply_batch
 from cohbreak.dynamics import evolve, factorization_check
 from cohbreak.errors import DimensionMismatchError
 from cohbreak.linalg import (
@@ -33,6 +35,8 @@ CASES = {
     "QubitAffine-shift": (lambda: QubitAffine(m=np.eye(3), shift=np.zeros(2)),
                           "shift", (2,), (3,)),
     "apply": (lambda: apply(identity_channel(2), MIXED_3), "rho", (3, 3), (2, 2)),
+    "apply_batch": (lambda: apply_batch(gad_channel(0.7, 0.3), np.ones((3, 3, 3))),
+                    "batch", (3, 3, 3), (3, 2, 2)),
     "evolve": (lambda: evolve(MIXED_3, identity_channel(2), steps=1), "state", (3, 3), (2, 2)),
     "factorization_check": (lambda: factorization_check(MIXED_3, identity_channel(2)),
                             "state", (3, 3), (2, 2)),
