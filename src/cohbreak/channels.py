@@ -39,8 +39,8 @@ from .errors import (
     NotTracePreservingError,
     ParameterOutOfRangeError,
 )
-from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_int, _require_shape, hermiticity_defect,
-                     partial_trace, require_finite)
+from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_int, _require_real, _require_shape,
+                     hermiticity_defect, partial_trace, require_finite)
 from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex_matrix_to_json,
                      json_parser)
 
@@ -140,7 +140,7 @@ class ChoiMatrix:
 
 @dataclass(frozen=True)
 class QubitAffine:
-    """Bloch-ball action r -> m @ r + shift of a qubit channel.
+    """Bloch-ball action r -> m @ r + shift of a qubit channel; m and shift are real.
 
     Mapping the ball into itself is necessary but not sufficient for
     complete positivity; `affine_to_kraus` validates CPTP via the Choi
@@ -152,10 +152,11 @@ class QubitAffine:
     COHERENT_ROWS = slice(1, 3)  # the x and y rows of `transfer`
 
     def __post_init__(self) -> None:
-        _require_shape(self.m, (3, 3), "m", dtype=None)
-        _require_shape(self.shift, (3,), "shift", dtype=None)
-        require_finite(self.m, "m")
-        require_finite(self.shift, "shift")
+        for what, given, shape in (("m", self.m, (3, 3)), ("shift", self.shift, (3,))):
+            a = _require_shape(given, shape, what, dtype=None)
+            if a.dtype.kind not in "biuf":  # real; bool too, as the wire form reads true as 1
+                raise ParameterOutOfRangeError(f"need a real {what}, got dtype {a.dtype}")
+            require_finite(a, what)
 
     @property
     def transfer(self) -> np.ndarray:
@@ -301,10 +302,9 @@ def dephasing_channel(d: int) -> KrausChannel:
 
 
 def partial_dephasing_channel(d: int, q: float) -> KrausChannel:
-    """rho -> q rho + (1 - q) Delta(rho), for an integer d >= 1; scales every coherence by q."""
+    """rho -> q rho + (1 - q) Delta(rho): every coherence times q; integer d >= 1, q in [0, 1]."""
     d = _require_int(d, 1, "d", InvalidDimensionError)
-    if not 0.0 <= q <= 1.0:
-        raise ParameterOutOfRangeError(f"need q in [0, 1], got {q}")
+    q = _require_real(q, "q", 0.0, 1.0)
     ops = np.zeros((d + 1, d, d), dtype=complex)
     ops[0] = np.sqrt(q) * np.eye(d)
     ops[np.arange(1, d + 1), np.arange(d), np.arange(d)] = np.sqrt(1.0 - q)
@@ -312,17 +312,15 @@ def partial_dephasing_channel(d: int, q: float) -> KrausChannel:
 
 
 def gad_channel(p: float, t: float) -> KrausChannel:
-    """Generalized amplitude damping on a qubit.
+    """Generalized amplitude damping on a qubit, for reals p and t in [0, 1].
 
     Populations relax toward the fixed point diag(t, 1-t) while coherences
     shrink by sqrt(p) per application; the Bloch action is
     diag(sqrt p, sqrt p, p) with shift (0, 0, (1-p)(2t-1)). Iterating n
     times gives the same family member with p replaced by p^n.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"need p in [0, 1], got {p}")
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRangeError(f"need t in [0, 1], got {t}")
+    p = _require_real(p, "p", 0.0, 1.0)
+    t = _require_real(t, "t", 0.0, 1.0)
     sp = np.sqrt(p)
     sg = np.sqrt(1.0 - p)
     ops = [
@@ -335,15 +333,14 @@ def gad_channel(p: float, t: float) -> KrausChannel:
 
 
 def y_to_x_channel(alpha: float) -> KrausChannel:
-    """Qubit channel with Bloch action r -> (alpha r_y, 0, 0), |alpha| <= 1.
+    """Qubit channel with Bloch action r -> (alpha r_y, 0, 0), for a real |alpha| <= 1.
 
     Its square is the totally depolarizing map to I/2, so two applications
     destroy all coherence even though one does not. The Kraus set below is
     an explicitly incoherent decomposition (each operator is diagonal or
     antidiagonal), which the canonical Choi-extracted set is not.
     """
-    if not abs(alpha) <= 1.0:
-        raise ParameterOutOfRangeError(f"need |alpha| <= 1, got {alpha}")
+    alpha = _require_real(alpha, "alpha", -1.0, 1.0)
     w_plus = (1.0 + alpha) / 4.0
     w_minus = (1.0 - alpha) / 4.0
     ops = [
@@ -403,7 +400,8 @@ def kron_channel(first: KrausChannel, second: KrausChannel) -> KrausChannel:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    """Haar-distributed unitary via QR of a Ginibre matrix, for an integer d >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
@@ -411,7 +409,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
-    """Haar-random CPTP channel from a Stinespring isometry of given rank."""
+    """Haar-random CPTP channel from a Stinespring isometry of given rank, integers >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
+    kraus_rank = _require_int(kraus_rank, 1, "kraus_rank")
     u = haar_unitary(d * kraus_rank, rng)
     v = u[:, :d]  # isometry C^d -> C^(d k)
     ops = [v[i * d:(i + 1) * d, :] for i in range(kraus_rank)]
@@ -419,7 +419,9 @@ def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> KrausCh
 
 
 def random_povm(d: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random POVM from normalized Wishart blocks."""
+    """Random POVM of n_effects >= 1 normalized Wishart blocks, for an integer d >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
+    n_effects = _require_int(n_effects, 1, "n_effects")
     blocks = []
     for _ in range(n_effects):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -436,7 +438,9 @@ def random_incoherent_channel(d: int, rng: np.random.Generator) -> KrausChannel:
     Convex mixture of three diagonal-unitary, permutation, partial-dephasing
     or measure-and-prepare pieces; every Kraus operator has at most one
     nonzero entry per column, so the mixture is incoherent by construction.
+    d is an integer >= 1.
     """
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     weights = rng.dirichlet(np.ones(3))
     ops: list[np.ndarray] = []
     for w in weights:

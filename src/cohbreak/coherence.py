@@ -39,7 +39,7 @@ def c_relative_entropy(rho: np.ndarray) -> float:
 
 def is_incoherent_state(rho: np.ndarray, tol: float = DEFAULT_INCOHERENCE_TOL) -> bool:
     """True iff every off-diagonal magnitude is at most tol, a finite tol > 0."""
-    _require_tol(tol)
+    tol = _require_tol(tol)
     rho = np.asarray(rho, dtype=complex)
     off = np.abs(rho - np.diag(np.diag(rho)))
     return bool(off.max() <= tol) if off.size else True

@@ -30,7 +30,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
-from .linalg import _require_int, _require_shape, require_finite
+from .linalg import _require_int, _require_real, _require_shape, require_finite
 from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
@@ -39,18 +39,15 @@ _CHUNK_BYTES = 32 * 2**20
 
 
 def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
-    """Tail bound 2 exp(-d eps^2 / (18 pi^3 eta_c^2 eta_ch^2 ln 2)), integer d >= 1.
+    """Tail bound 2 exp(-d eps^2 / (18 pi^3 eta_c^2 eta_ch^2 ln 2)), integer d >= 1, eps >= 0.
 
-    eta_c is the Lipschitz constant of the coherence measure with respect to
-    trace distance and eta_ch the channel's trace-norm contraction factor.
+    eta_c > 0 is the Lipschitz constant of the coherence measure with respect to trace
+    distance and eta_ch > 0 the channel's trace-norm contraction factor; all three are finite.
     """
     d = _require_int(d, 1, "d")
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
-    if not np.isfinite([eta_c, eta_ch]).all() or eta_c <= 0 or eta_ch <= 0:
-        raise ParameterOutOfRangeError(
-            "Lipschitz and contraction factors must be finite and positive"
-        )
+    epsilon = _require_real(epsilon, "epsilon", 0.0)
+    eta_c = _require_real(eta_c, "eta_c", 0.0, above=True)
+    eta_ch = _require_real(eta_ch, "eta_ch", 0.0, above=True)
     exponent = d * epsilon**2 / (18.0 * np.pi**3 * eta_c**2 * eta_ch**2 * np.log(2.0))
     return float(2.0 * np.exp(-exponent))
 
@@ -58,13 +55,11 @@ def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
 def corollary_bound(d: int, epsilon: float, eta_ch: float) -> float:
     """Scaled-l1 specialization: 2 exp(-(d-1)^2 eps^2 / (18 pi^3 eta_ch^2 d ln 2)).
 
-    Algebraically identical to levy_bound with eta_c = d/(d-1); d is an integer >= 2.
+    Algebraically identical to levy_bound, and its rules, at eta_c = d/(d-1); integer d >= 2.
     """
     d = _require_int(d, 2, "d")
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ParameterOutOfRangeError(f"need a finite epsilon >= 0, got {epsilon}")
-    if not np.isfinite(eta_ch) or eta_ch <= 0:
-        raise ParameterOutOfRangeError("contraction factor must be finite and positive")
+    epsilon = _require_real(epsilon, "epsilon", 0.0)
+    eta_ch = _require_real(eta_ch, "eta_ch", 0.0, above=True)
     exponent = (d - 1.0) ** 2 * epsilon**2 / (18.0 * np.pi**3 * eta_ch**2 * d * np.log(2.0))
     return float(2.0 * np.exp(-exponent))
 
@@ -238,11 +233,13 @@ def run_concentration_experiment(
 ) -> ConcentrationReport:
     """Sample Haar inputs, push them through the channel, tabulate tails.
 
-    samples is an integer >= 1 and seed an integer >= 0. eta_channel defaults
-    to 1, which is always admissible because channels contract the trace norm;
-    contraction_check confirms this numerically.
+    samples is an integer >= 1 and seed an integer >= 0; epsilons and eta_channel are
+    checked before sampling. eta_channel defaults to 1, which is always admissible
+    because channels contract the trace norm; contraction_check confirms this numerically.
     """
     samples = _require_int(samples, 1, "samples")
+    epsilons = [_require_real(eps, "epsilon", 0.0) for eps in epsilons]
+    eta_channel = _require_real(eta_channel, "eta_channel", 0.0, above=True)
     if not epsilons:
         raise ParameterOutOfRangeError("need at least one epsilon")
     factors, dim = _normalize_factors(channel)
@@ -265,7 +262,7 @@ def run_concentration_experiment(
     eta_c = lipschitz_scaled_l1(d)
     for eps in epsilons:
         exceed = int((np.abs(scaled - mean_scaled) > eps).sum())
-        report.epsilons.append(float(eps))
+        report.epsilons.append(eps)
         report.tails.append(exceed / samples)
         report.tail_wilson.append(wilson_interval(exceed, samples))
         report.levy_bounds.append(levy_bound(d, eps, eta_c, eta_channel))

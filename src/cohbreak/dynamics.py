@@ -56,7 +56,7 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
     returns "given", "via-cbc" or "canonical", else raises NotIncoherentChannelError
     with the pattern witnesses of the given and the canonical set. tol must be
     finite and > 0 (ParameterOutOfRangeError otherwise)."""
-    _require_tol(tol)
+    tol = _require_tol(tol)
     decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
     if decomposition is None:
         raise NotIncoherentChannelError(
@@ -100,7 +100,7 @@ def coherence_breaking_index_affine(
 ) -> IndexResult:
     """Breaking index on the powers of the pair's Pauli transfer matrix, as in
     `is_cbc_affine`; cap is an integer >= 1 and tol finite and > 0."""
-    _require_tol(tol)
+    tol = _require_tol(tol)
     return _first_breaking_power(rep.transfer, rep.COHERENT_ROWS, cap, tol)
 
 
@@ -130,7 +130,7 @@ def evolve(
     """Track c_l1 over `steps` (an integer >= 1) channel applications, a stroboscopic
     run; sudden death is the first step at most tol, a finite tol > 0."""
     steps = _require_int(steps, 1, "steps")
-    _require_tol(tol)
+    tol = _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
     require_finite(state, "state")
     values = [c_l1(state)]
@@ -202,7 +202,7 @@ def factorization_check(
     certificate held or only the diagonal-fixed-point hypothesis. tol must
     be finite and > 0.
     """
-    _require_tol(tol)
+    tol = _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
     decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"

@@ -31,6 +31,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_REALS = (int, float, np.integer, np.floating)  # and not bool, in `_require_real`
 
 
 def require_finite(a, what: str) -> None:
@@ -39,10 +40,26 @@ def require_finite(a, what: str) -> None:
         raise NonFiniteError(f"{what} has a NaN or infinite entry")
 
 
-def _require_tol(tol: float) -> None:
-    """Raise ParameterOutOfRangeError unless tol is finite and > 0 (NaN fails both)."""
-    if not 0.0 < tol < math.inf:
-        raise ParameterOutOfRangeError(f"need a finite tol > 0, got {tol}")
+def _require_real(value, what: str, low: float, high=math.inf, above=False) -> float:
+    """value as a float: a finite Python or NumPy real, not a bool, in [low, high] (in
+    (low, high] if `above`), else ParameterOutOfRangeError stating the rule."""
+    try:
+        x = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # a Python int past the largest float
+        x = math.nan
+    if (low < x if above else low <= x) and x <= high and math.isfinite(x):
+        return x
+    if high < math.inf:
+        interval = f"{'(' if above else '['}{low:g}, {high:g}]"
+        rule = f"|{what}| <= {high:g}" if low == -high else f"{what} in {interval}"
+    else:
+        rule = f"a finite {what} {'>' if above else '>='} {low:g}"
+    raise ParameterOutOfRangeError(f"need {rule}, got {value!r}")
+
+
+def _require_tol(tol) -> float:
+    """tol as a float, finite and > 0."""
+    return _require_real(tol, "tol", 0.0, above=True)
 
 
 def _require_int(value, low: int, what: str, error=ParameterOutOfRangeError) -> int:
@@ -74,8 +91,9 @@ def hermitian_eigendecomposition(
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Raises NotHermitianError if the Hermiticity defect exceeds tol.
+    Raises NotHermitianError if the Hermiticity defect exceeds tol (a finite real > 0).
     """
+    tol = _require_tol(tol)
     a = _require_shape(a, (math.isqrt(np.size(a)),) * 2, "matrix a")  # square, of its size
     require_finite(a, "matrix a")
     defect = hermiticity_defect(a)
@@ -136,8 +154,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def partial_transpose(mat: np.ndarray, d: int) -> np.ndarray:
     """Transpose the second factor of a (d x d) otimes (d x d) matrix.
 
-    An involution: applying it twice returns the input.
+    An involution: applying it twice returns the input. d is an integer >= 1.
     """
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     mat = _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     return t.transpose(0, 3, 2, 1).reshape(d * d, d * d)
@@ -146,15 +165,16 @@ def partial_transpose(mat: np.ndarray, d: int) -> np.ndarray:
 def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
     """Trace out one factor of a (d x d) otimes (d x d) matrix.
 
-    keep=0 keeps the first tensor factor, keep=1 the second.
+    keep=0 keeps the first tensor factor, keep=1 the second; d is an integer >= 1.
     """
+    d = _require_int(d, 1, "d", InvalidDimensionError)
     mat = _require_shape(mat, (d * d, d * d), "mat")
     t = mat.reshape(d, d, d, d)
     if keep == 0:
         return np.einsum("ikjk->ij", t)
     if keep == 1:
         return np.einsum("kikj->ij", t)
-    raise ValueError("keep must be 0 or 1")
+    raise ParameterOutOfRangeError(f"need keep 0 or 1, got {keep!r}")
 
 
 @dataclass(frozen=True)

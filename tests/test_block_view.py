@@ -38,6 +38,7 @@ from cohbreak.dynamics import (
     factorization_check,
 )
 from cohbreak.errors import ParameterOutOfRangeError
+from cohbreak.linalg import hermitian_eigendecomposition
 from cohbreak.states import haar_random_pure, maximally_coherent
 from conftest import HADAMARD
 
@@ -101,7 +102,10 @@ def test_cached_unit_maxima_match_a_loop_over_the_unit_images(d, incoherent, see
         cbc[0, 0] = 1.0
 
 
-BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-8]
+BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-8,
+            "1e-8", None, True, np.True_, 1 + 0j, np.array(1e-8)]
+BAD_TOL_IDS = ["nan", "inf", "zero", "negative",
+               "string", "none", "bool", "numpy-bool", "complex", "zero-d-array"]
 
 TOL_ENTRY_POINTS = {
     "classify": lambda tol: classify(identity_channel(3), tol=tol),
@@ -114,10 +118,12 @@ TOL_ENTRY_POINTS = {
     "factorization_check": lambda tol: factorization_check(maximally_coherent(2),
                                                            dephasing_channel(2), tol=tol),
     "is_incoherent_state": lambda tol: is_incoherent_state(np.eye(2) / 2, tol),
+    "hermitian_eigendecomposition": lambda tol: hermitian_eigendecomposition([[1, 5], [0, 1]],
+                                                                             tol),
 }
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=BAD_TOL_IDS)
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_entry_points_reject_a_tolerance_that_is_not_finite_and_positive(entry, tol):
     with pytest.raises(ParameterOutOfRangeError, match="finite tol > 0"):
@@ -136,7 +142,7 @@ PREDICATES = {
 }
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=BAD_TOL_IDS)
 @pytest.mark.parametrize("predicate", sorted(PREDICATES))
 def test_single_class_predicates_reject_a_tolerance_that_is_not_finite_and_positive(predicate,
                                                                                    tol):

@@ -358,6 +358,25 @@ def test_non_finite_numeric_flag_is_usage_error(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_concentrate_takes_no_tolerance():
+    with pytest.raises(SystemExit) as exc:
+        main(["concentrate", "--dim", "4", "--samples", "8", "--seed", "1", "--eps", "0.1",
+              "--tol", "1e-8"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, parameter", [
+    (["--eps", "0.1", "--eta", "0"], "need a finite eta_channel > 0, got 0.0"),
+    (["--eps", "0.1,-0.5"], "need a finite epsilon >= 0, got -0.5"),
+    (["--eps", ","], "need at least one epsilon"),
+], ids=["eta-zero", "eps-negative", "eps-empty"])
+def test_a_real_out_of_range_is_a_usage_error_naming_the_parameter(capsys, flags, parameter):
+    with pytest.raises(SystemExit) as exc:
+        main(["concentrate", "--dim", "4", "--samples", "8", "--seed", "1", *flags])
+    assert exc.value.code == 2
+    assert parameter in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--nope"])

@@ -15,7 +15,11 @@ from cohbreak.channels import (
     gad_channel,
     identity_channel,
     iterate,
+    haar_unitary,
     partial_dephasing_channel,
+    random_channel,
+    random_incoherent_channel,
+    random_povm,
 )
 from cohbreak.concentration import (
     contraction_check,
@@ -28,7 +32,7 @@ from cohbreak.concentration import (
 )
 from cohbreak.dynamics import coherence_breaking_index, coherence_breaking_index_affine, evolve
 from cohbreak.errors import InvalidDimensionError, ParameterOutOfRangeError
-from cohbreak.linalg import generalized_gell_mann
+from cohbreak.linalg import generalized_gell_mann, partial_trace, partial_transpose
 from cohbreak.states import haar_random_kets, haar_random_pure, maximally_coherent
 
 GAD = gad_channel(0.7, 0.3)
@@ -38,6 +42,10 @@ DIM, COUNT = InvalidDimensionError, ParameterOutOfRangeError
 
 def kets(d=2, n=3, seed=0):
     return haar_random_kets(d, n, np.random.default_rng(seed))
+
+
+def rng():
+    return np.random.default_rng(0)  # fresh in each call, so twin calls draw alike
 
 
 # name: (call with the integer argument, argument name, minimum, error class,
@@ -76,6 +84,15 @@ CASES = {
         lambda s: run_concentration_experiment(GAD, 2, 8, [0.1], s), "seed", 0, COUNT, 9),
     "contraction_check-samples": (lambda n: contraction_check(GAD, n, 1), "samples", 1, COUNT, 4),
     "contraction_check-seed": (lambda s: contraction_check(GAD, 4, s), "seed", 0, COUNT, 9),
+    "haar_unitary-d": (lambda d: haar_unitary(d, rng()), "d", 1, DIM, 3),
+    "random_channel-d": (lambda d: random_channel(d, 2, rng()), "d", 1, DIM, 2),
+    "random_channel-kraus_rank": (lambda k: random_channel(2, k, rng()),
+                                  "kraus_rank", 1, COUNT, 2),
+    "random_povm-d": (lambda d: random_povm(d, 2, rng()), "d", 1, DIM, 2),
+    "random_povm-n_effects": (lambda n: random_povm(2, n, rng()), "n_effects", 1, COUNT, 3),
+    "random_incoherent_channel-d": (lambda d: random_incoherent_channel(d, rng()), "d", 1, DIM, 3),
+    "partial_transpose-d": (lambda d: partial_transpose(np.eye(4), d), "d", 1, DIM, 2),
+    "partial_trace-d": (lambda d: partial_trace(np.eye(4), d, keep=0), "d", 1, DIM, 2),
 }
 NOT_INTEGERS = {"float": 2.5, "string": "3", "none": None, "bool": True, "nan": float("nan"),
                 "float-integral": 2.0, "numpy-float": np.float64(3.0), "numpy-bool": np.True_,
@@ -100,6 +117,13 @@ def test_below_the_minimum_keeps_its_message(call, what, low, error, _):
 @pytest.mark.parametrize("call, what, low, error, valid", CASES.values(), ids=CASES.keys())
 def test_a_numpy_integer_gives_the_same_result(call, what, low, error, valid):
     assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+
+
+@pytest.mark.parametrize("keep", [2, -1, None])
+def test_partial_trace_keeps_factor_0_or_1(keep):
+    with pytest.raises(ParameterOutOfRangeError) as exc:
+        partial_trace(np.eye(4), 2, keep=keep)
+    assert str(exc.value) == f"need keep 0 or 1, got {keep!r}"
 
 
 def test_the_minimum_itself_is_accepted():
