@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .channels import channel_from_json, identity_channel
 from .classifiers import DEFAULT_TOL, classify
-from .concentration import run_concentration_experiment
+from .concentration import DEFAULT_SAMPLES, run_concentration_experiment
 from .dynamics import (
     DEFAULT_INDEX_CAP,
     DEFAULT_SUDDEN_DEATH_TOL,
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conc = add_command("concentrate", cmd_concentrate, "Haar-sampling tail experiment",
                          formats=("json", "csv"), sampling=True)
-    p_conc.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p_conc.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     p_conc.add_argument("--seed", type=_int_at_least(0), required=True,
                         help="sampling seed; runs are byte-reproducible")
     p_conc.add_argument("--eps", type=_epsilon_list, required=True,

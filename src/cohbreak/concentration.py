@@ -34,7 +34,7 @@ from .linalg import _require_int, _require_real, _require_shape, require_finite
 from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
-# Bytes a chunk holds at once; `_sample_entries` counts a sample's share.
+# Bytes a chunk holds at once; `_by_chunk` counts a ket's share.
 _CHUNK_BYTES = 32 * 2**20
 
 
@@ -134,18 +134,6 @@ def _apply_legs(factors: list[KrausChannel], pairs: np.ndarray) -> np.ndarray:
     return out.reshape(b, d, d)
 
 
-def _chunk(entries: int) -> int:
-    """Samples per chunk when a sample holds `entries` complex entries at once."""
-    return max(1, _CHUNK_BYTES // (16 * entries))
-
-
-def _sample_entries(factors: list[KrausChannel], d: int) -> int:
-    """Complex entries a chunked pure sample holds at once: w, its conjugate and two
-    d x d arrays for one factor, at most three d x d arrays for a product. The
-    rank-1 and Schur (diagonal Kraus) paths hold no d x d array and run unchunked."""
-    return 3 * d * d if len(factors) > 1 else 2 * d * (factors[0].n_ops + d)
-
-
 def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
     """Phi(|psi><psi|) per ket; a single factor goes through W = kets K^T, a
     product builds |psi><psi| directly in the leg-pair order of `_apply_legs`."""
@@ -173,11 +161,19 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
         mags, weights = np.abs(kets), np.abs(diag.T @ diag.conj())
         np.fill_diagonal(weights, 0.0)
         return ((mags @ weights) * mags).sum(axis=1)
-    step = _chunk(_sample_entries(factors, d))
-    out = np.empty(samples)
-    for start in range(0, samples, step):
-        out[start:start + step] = c_l1(_pure_outputs(factors, kets[start:start + step]))
-    return out
+    return _by_chunk(c_l1, factors, kets)
+
+
+def _by_chunk(reduce, factors: list[KrausChannel], kets: np.ndarray, group: int = 1) -> np.ndarray:
+    """reduce(Phi(|psi><psi|)) on chunks of whole `group`s of kets, concatenated. A ket
+    holds w, its conjugate and two d x d arrays for one factor, at most three d x d arrays
+    for a product; a chunk fits `_CHUNK_BYTES`, and its outputs are freed before the next
+    chunk's are built. The rank-1 and Schur (diagonal Kraus) paths run unchunked."""
+    d = kets.shape[1]
+    entries = group * (3 * d * d if len(factors) > 1 else 2 * d * (factors[0].n_ops + d))
+    step = group * max(1, _CHUNK_BYTES // (16 * entries))
+    return np.concatenate([reduce(_pure_outputs(factors, kets[start:start + step]))
+                           for start in range(0, len(kets), step)])
 
 
 def estimate_mean_coherence(channel, samples: int, seed: int) -> tuple[float, float]:
@@ -233,11 +229,14 @@ def run_concentration_experiment(
 ) -> ConcentrationReport:
     """Sample Haar inputs, push them through the channel, tabulate tails.
 
-    samples is an integer >= 1 and seed an integer >= 0; epsilons and eta_channel are
-    checked before sampling. eta_channel defaults to 1, which is always admissible
-    because channels contract the trace norm; contraction_check confirms this numerically.
+    d is an integer >= 2, samples an integer >= 1 and seed an integer >= 0. d, samples,
+    epsilons (an iterable) and eta_channel are checked before sampling; eta_channel defaults
+    to 1, admissible since channels contract the trace norm (contraction_check confirms it).
     """
     samples = _require_int(samples, 1, "samples")
+    eta_c = lipschitz_scaled_l1(d)
+    if not np.iterable(epsilons):
+        raise ParameterOutOfRangeError(f"need an iterable of epsilons, got {epsilons!r}")
     epsilons = [_require_real(eps, "epsilon", 0.0) for eps in epsilons]
     eta_channel = _require_real(eta_channel, "eta_channel", 0.0, above=True)
     if not epsilons:
@@ -259,7 +258,6 @@ def run_concentration_experiment(
         mean_c_l1=float(values.mean()),
         mean_scaled=mean_scaled,
     )
-    eta_c = lipschitz_scaled_l1(d)
     for eps in epsilons:
         exceed = int((np.abs(scaled - mean_scaled) > eps).sum())
         report.epsilons.append(eps)
@@ -279,20 +277,19 @@ def contraction_check(channel, samples: int, seed: int) -> float:
 
     Ratio ||Phi(rho) - Phi(sigma)||_1 / ||rho - sigma||_1 maximized over
     sampled pure-state pairs; monotonicity of the trace norm keeps it at or
-    below 1. samples is an integer >= 1 and seed an integer >= 0.
+    below 1. samples is an integer >= 1 and seed an integer >= 0. Only outputs are
+    diagonalized: an input pair's ||psi psi^+ - phi phi^+||_1 = 2 sqrt(1 - |c|^2),
+    c = <phi|psi>, is read as 2 sqrt(g (2 - g)) with g = 1 - |c| = ||psi - e^{i arg c} phi||^2 / 2,
+    which does not cancel for near-parallel pairs.
     """
     samples = _require_int(samples, 1, "samples")
     factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, 2 * samples, _rng(seed))
-    worst = 0.0
-    step = 2 * _chunk(2 * _sample_entries(factors, d))
-    for start in range(0, 2 * samples, step):
-        block = kets[start:start + step]
-        rhos = np.einsum("bi,bj->bij", block, block.conj())
-        outs = _pure_outputs(factors, block)
-        # Trace norms of the input, then the output, pair differences: one eigvalsh.
-        diffs = np.concatenate([rhos[0::2] - rhos[1::2], outs[0::2] - outs[1::2]])
-        denom, numer = np.split(np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1), 2)
-        ratios = np.divide(numer, denom, out=np.zeros_like(numer), where=denom >= 1e-12)
-        worst = max(worst, float(ratios.max()))
-    return worst
+    psi, phi = kets[0::2], kets[1::2]
+    phase = np.exp(1j * np.angle((phi.conj() * psi).sum(axis=1)))[:, None]
+    g = (np.abs(psi - phase * phi) ** 2).sum(axis=1) / 2
+    denom = 2.0 * np.sqrt(g * (2.0 - g))
+    numer = _by_chunk(lambda outs: np.abs(np.linalg.eigvalsh(outs[0::2] - outs[1::2])).sum(1),
+                      factors, kets, group=2)
+    ratios = np.divide(numer, denom, out=np.zeros_like(numer), where=denom >= 1e-12)
+    return float(ratios.max())

@@ -436,3 +436,44 @@ def test_one_off_diagonal_entry_takes_the_general_path(monkeypatch):
 def test_partial_dephasing_mean_matches_the_exact_haar_moment(d, q, seed):
     mean, stderr = estimate_mean_coherence(partial_dephasing_channel(d, q), 4000, seed)
     assert abs(mean - np.pi / 4 * q * (d - 1)) < 4.0 * stderr
+
+
+# Triples fixed in advance. A Schur multiplier's exact Haar mean is
+# (pi / 4d) sum_{i != j} |M_ij| with M = D^T conj(D), D the Kraus diagonals.
+@pytest.mark.parametrize("d, n_ops, seed", [(5, 2, 11), (16, 3, 12), (48, 6, 13)])
+def test_schur_multiplier_mean_matches_the_exact_haar_moment(d, n_ops, seed):
+    channel = random_diagonal_channel(d, n_ops, np.random.default_rng(seed))
+    diag = channel.kraus_diagonals
+    weights = np.abs(diag.T @ diag.conj())
+    exact = np.pi / (4 * d) * (weights.sum() - np.trace(weights))
+    mean, stderr = estimate_mean_coherence(channel, 4000, seed)
+    assert abs(mean - exact) < 4.0 * stderr
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-8])
+def test_contraction_of_near_parallel_pairs_is_one_for_the_identity(monkeypatch, eps):
+    # Pairs phi ~ psi + eps xi: the input distance read off the overlap must not
+    # cancel, as 2 sqrt(1 - |c|^2) does, so that the exact ratio 1 holds.
+    def near_parallel_kets(d, n, rng):
+        psi, xi = haar_random_kets(d, n // 2, rng), haar_random_kets(d, n // 2, rng)
+        phi = psi + eps * xi
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        return np.stack([psi, phi], axis=1).reshape(n, d)
+
+    monkeypatch.setattr(concentration, "haar_random_kets", near_parallel_kets)
+    assert abs(contraction_check(identity_channel(8), samples=64, seed=5) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("d", [2.0, np.float64(2.0), "2", 1, 0],
+                         ids=["float", "numpy-float", "string", "one", "zero"])
+def test_experiment_checks_the_dimension_before_sampling(monkeypatch, d):
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before checking d")
+
+    with pytest.raises(InvalidDimensionError) as expected:
+        lipschitz_scaled_l1(d)
+    monkeypatch.setattr(concentration, "haar_random_kets", no_sampling)
+    with pytest.raises(InvalidDimensionError) as exc:
+        run_concentration_experiment(gad_channel(0.7, 0.3), d=d, samples=2000,
+                                     epsilons=[0.1], seed=1)
+    assert str(exc.value) == str(expected.value)

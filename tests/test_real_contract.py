@@ -114,3 +114,21 @@ def test_an_affine_pair_takes_only_real_arrays(m, shift, message):
 def test_an_affine_pair_reads_booleans_as_0_and_1():
     rep = QubitAffine(m=np.eye(3, dtype=bool), shift=np.zeros(3, dtype=bool))
     assert np.array_equal(rep.transfer, np.eye(4))
+
+
+@pytest.mark.parametrize("epsilons", [0.1, np.float64(0.1), np.array(0.1), 1],
+                         ids=["float", "numpy-float", "zero-d-array", "int"])
+def test_a_bare_number_epsilons_is_an_error_before_sampling(monkeypatch, epsilons):
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before checking epsilons")
+
+    monkeypatch.setattr(concentration, "haar_random_kets", no_sampling)
+    with pytest.raises(ParameterOutOfRangeError, match="iterable of epsilons"):
+        run_concentration_experiment(GAD, 2, 8, epsilons, 1)
+
+
+def test_epsilons_may_be_any_iterable_of_reals():
+    expected = pickle.dumps(run_concentration_experiment(GAD, 2, 8, [0.1, 0.2], 1))
+    for epsilons in [(0.1, 0.2), np.array([0.1, 0.2]), iter([0.1, 0.2]),
+                     (e for e in [0.1, 0.2])]:
+        assert pickle.dumps(run_concentration_experiment(GAD, 2, 8, epsilons, 1)) == expected
