@@ -399,23 +399,26 @@ def kron_channel(first: KrausChannel, second: KrausChannel) -> KrausChannel:
 # --- random instances (reproducible test corpora) ---------------------------
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix, for an integer d >= 1."""
-    d = _require_int(d, 1, "d", InvalidDimensionError)
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar isometry C^cols -> C^rows, rows >= cols: the thin QR of a Ginibre draw, with
+    the phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592 (2007))."""
+    z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
 
 
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix, for an integer d >= 1."""
+    d = _require_int(d, 1, "d", InvalidDimensionError)
+    return _haar_isometry(d, d, rng)
+
+
 def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
-    """Haar-random CPTP channel from a Stinespring isometry of given rank, integers >= 1."""
+    """Haar-random CPTP channel from a Haar isometry C^d -> C^(d kraus_rank), integers >= 1."""
     d = _require_int(d, 1, "d", InvalidDimensionError)
     kraus_rank = _require_int(kraus_rank, 1, "kraus_rank")
-    u = haar_unitary(d * kraus_rank, rng)
-    v = u[:, :d]  # isometry C^d -> C^(d k)
-    ops = [v[i * d:(i + 1) * d, :] for i in range(kraus_rank)]
-    return make_channel(ops, dim=d)
+    return make_channel(_haar_isometry(d * kraus_rank, d, rng).reshape(kraus_rank, d, d), dim=d)
 
 
 def random_povm(d: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:

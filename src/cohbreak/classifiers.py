@@ -39,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _unit_image_maxima  # re-exported
-from .linalg import _require_tol, generalized_gell_mann
+from .channels import KrausChannel, QubitAffine, _reshuffle, _unit_image_maxima  # last re-exported
+from .linalg import _require_tol, partial_transpose
 
 DEFAULT_TOL = 1e-8
 _QC_BAND = 1e3  # QC residuals within this factor of tol go to the pairwise test
@@ -59,6 +59,16 @@ def _second_largest(mags: np.ndarray, axis: int) -> np.ndarray:
     return np.take(np.sort(mags, axis=axis), -2, axis=axis)
 
 
+def _pattern_verdict(second: np.ndarray, tol: float, names: tuple[str, ...]):
+    """(ok, witness) naming, by `names`, the first entry of `second` above tol in row-major
+    order (operator, then column or row) with its residual, else the largest residual."""
+    bad = second > tol
+    if bad.any():
+        first = np.unravel_index(int(bad.argmax()), second.shape)  # argmax: the first True
+        return False, {**dict(zip(names, map(int, first))), "residual": float(second[first])}
+    return True, {"residual": float(second.max())}
+
+
 def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
     """Every Kraus operator has at most one entry above tol per column.
 
@@ -67,11 +77,7 @@ def is_incoherent_kraus(channel: KrausChannel, tol: float = DEFAULT_TOL):
     """
     tol = _require_tol(tol)
     second = _second_largest(np.abs(channel.kraus_ops), axis=1)
-    bad = np.argwhere(second > tol)  # row-major order: first operator, then column
-    if len(bad):
-        n, j = (int(x) for x in bad[0])
-        return False, {"operator": n, "column": j, "residual": float(second[n, j])}
-    return True, {"residual": float(second.max())}
+    return _pattern_verdict(second, tol, ("operator", "column"))
 
 
 def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -80,16 +86,14 @@ def is_sio(channel: KrausChannel, tol: float = DEFAULT_TOL):
     At most one entry above tol per column and per row, the shape of
     d_ij |pi_i(j)><j| operators.
     """
-    ok_col, witness = is_incoherent_kraus(channel, tol)  # checks tol
-    if not ok_col:
-        witness["axis"] = "column"
-        return False, witness
-    second = _second_largest(np.abs(channel.kraus_ops), axis=2)
-    bad = np.argwhere(second > tol)
-    if len(bad):
-        n, i = (int(x) for x in bad[0])
-        return False, {"operator": n, "row": i, "residual": float(second[n, i]), "axis": "row"}
-    return True, {"residual": max(witness["residual"], float(second.max()))}
+    tol = _require_tol(tol)
+    mags, residual = np.abs(channel.kraus_ops), 0.0
+    for axis, name in ((1, "column"), (2, "row")):
+        ok, witness = _pattern_verdict(_second_largest(mags, axis), tol, ("operator", name))
+        if not ok:
+            return False, {**witness, "axis": name}
+        residual = max(residual, witness["residual"])
+    return True, {"residual": residual}
 
 
 def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -101,14 +105,11 @@ def is_scbc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     """
     tol = _require_tol(tol)
     row_norms = np.abs(channel.kraus_ops).max(axis=2)
-    second = _second_largest(row_norms, axis=1)
-    bad = np.flatnonzero(second > tol)
-    if len(bad):
-        n = int(bad[0])
-        order = np.argsort(row_norms[n])[::-1]
-        return False, {"operator": n, "rows": [int(order[0]), int(order[1])],
-                       "residual": float(second[n])}
-    return True, {"residual": float(second.max())}
+    ok, witness = _pattern_verdict(_second_largest(row_norms, axis=1), tol, ("operator",))
+    if not ok:  # name its two largest rows, between the operator and the residual
+        n = witness["operator"]
+        witness = {"operator": n, "rows": np.argsort(row_norms[n])[::-1][:2].tolist(), **witness}
+    return ok, witness
 
 
 def _unit_verdict(residuals: np.ndarray, tol: float):
@@ -157,8 +158,9 @@ def _qc_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T: the unit pairs (|j><k|, |k><j|), j < k, the diagonal units' weights in
     each diagonal input, and the seeded weights of X, which picks the basis."""
     j, k = np.triu_indices(d, 1)
-    diagonal = generalized_gell_mann(d).generators[d * d - d:] + (np.eye(d),)
-    return (np.stack([j * d + k, k * d + j]), np.stack([g.diagonal().real for g in diagonal], 1),
+    l = np.arange(1, d)  # generator l weighs |k><k| by s_l for k < l and by -l s_l at k = l
+    mix = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * l) * np.sqrt(2.0 / (l * (l + 1)))
+    return (np.stack([j * d + k, k * d + j]), np.column_stack([mix, np.ones(d)]),
             np.random.default_rng(d).normal(size=d * d))
 
 
@@ -180,8 +182,6 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     """
     tol = _require_tol(tol)
     d, t = channel.dim, channel.transfer
-    if d == 1:  # a single output, which commutes with itself
-        return True, {"max_commutator": 0.0, "residual": 0.0}
     pairs, mix, weights = _qc_inputs(d)
     above, below = t[:, pairs[0]], t[:, pairs[1]]  # Phi(|j><k|), Phi(|k><j|)
     outputs = np.concatenate([above + below, 1j * (below - above), t[:, ::d + 1] @ mix],
@@ -212,12 +212,10 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     and the minimum partial-transpose eigenvalue as witness. For d <= 2 PPT
     decides entanglement breaking; for d >= 3 it is only a no-certificate.
     """
-    tol = _require_tol(tol)
-    d = channel.dim  # PT[(u, v), (r, s)] = Choi[(u, s), (r, v)] = T[(u, r), (s, v)] / d
-    pt = channel.transfer.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d) / d
+    tol, d = _require_tol(tol), channel.dim
+    pt = partial_transpose(_reshuffle(channel.transfer, d), d) / d  # reshuffled T = d * Choi
     min_eig = float(np.linalg.eigvalsh(pt).min())
-    witness = {"min_pt_eigenvalue": min_eig}
-    return ("no" if min_eig < -tol else _ppt_pass(d)), witness
+    return ("no" if min_eig < -tol else _ppt_pass(d)), {"min_pt_eigenvalue": min_eig}
 
 
 def _ppt_pass(d: int) -> str:

@@ -6,9 +6,11 @@ another basis, rotate the states or channels instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import _require_tol, von_neumann_entropy
+from .linalg import _require_shape, _require_tol, require_finite, von_neumann_entropy
 
 DEFAULT_INCOHERENCE_TOL = 1e-9
 
@@ -17,10 +19,14 @@ def c_l1(rho: np.ndarray) -> float | np.ndarray:
     """l1 norm of coherence: sum of |rho_ij| over off-diagonal entries.
 
     Ranges from 0 (diagonal states) to d - 1 (maximally coherent states).
-    One d x d matrix gives a float, a (b, d, d) batch an array of b values.
+    One d x d matrix gives a float, a (b, d, d) batch an array of b values;
+    each matrix must be square, of its own size (DimensionMismatchError).
     """
     mags = np.abs(np.asarray(rho, dtype=complex))
-    diag = np.arange(min(mags.shape[-2:]))
+    if mags.ndim not in (2, 3) or mags.shape[-1] != mags.shape[-2]:  # no pass over the data
+        d = math.isqrt(math.prod(mags.shape[-2:]))  # each matrix square, of its own size
+        _require_shape(mags, mags.shape[:-2][-1:] + (d, d), "rho", float)  # differs: raises
+    diag = np.arange(mags.shape[-1])
     mags[..., diag, diag] = 0.0
     return float(mags.sum()) if mags.ndim == 2 else mags.sum(axis=(-2, -1))
 
@@ -38,8 +44,10 @@ def c_relative_entropy(rho: np.ndarray) -> float:
 
 
 def is_incoherent_state(rho: np.ndarray, tol: float = DEFAULT_INCOHERENCE_TOL) -> bool:
-    """True iff every off-diagonal magnitude is at most tol, a finite tol > 0."""
+    """True iff every off-diagonal magnitude is at most tol, a finite tol > 0. rho must be
+    square, of its own size (DimensionMismatchError), and finite (NonFiniteError)."""
     tol = _require_tol(tol)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _require_shape(rho, (math.isqrt(np.size(rho)),) * 2, "rho")  # square, of its size
+    require_finite(rho, "rho")
     off = np.abs(rho - np.diag(np.diag(rho)))
     return bool(off.max() <= tol) if off.size else True

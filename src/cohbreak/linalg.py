@@ -85,6 +85,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
+def _require_hermitian(a: np.ndarray, tol: float) -> None:
+    """Raise NotHermitianError if the hermiticity defect of a exceeds tol."""
+    defect = hermiticity_defect(a)
+    if defect > tol:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
+
+
 def hermitian_eigendecomposition(
     a: np.ndarray, tol: float = TOL_HERM
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,9 +103,7 @@ def hermitian_eigendecomposition(
     tol = _require_tol(tol)
     a = _require_shape(a, (math.isqrt(np.size(a)),) * 2, "matrix a")  # square, of its size
     require_finite(a, "matrix a")
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
+    _require_hermitian(a, tol)
     w, v = np.linalg.eigh(a)
     return w, v
 
@@ -108,12 +113,15 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     Note there is no factor 1/2: orthogonal pure states are at distance 2,
     and for qubits the value equals the Euclidean Bloch-vector distance.
+    Raises NotHermitianError if rho - sigma is not Hermitian within TOL_HERM.
     """
     rho = _require_shape(rho, (math.isqrt(np.size(rho)),) * 2, "rho")  # square, of its size
     sigma = _require_shape(sigma, rho.shape, "sigma")
     require_finite(rho, "rho")
     require_finite(sigma, "sigma")
-    return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+    diff = rho - sigma
+    _require_hermitian(diff, TOL_HERM)  # eigvalsh reads one triangle only
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def density_eigenvalues(rho: np.ndarray) -> np.ndarray:

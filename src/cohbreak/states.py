@@ -53,17 +53,13 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
 def haar_random_kets(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random unit vectors as rows of an (n, d) complex array; integers d >= 2, n >= 0.
 
-    Standard complex Gaussian components normalized to unit length; the
-    global phase is fixed by making the first nonzero amplitude real
-    nonnegative so repeated runs are bit-reproducible.
+    Standard complex Gaussian components normalized to unit length, global
+    phase left as drawn: a seeded rng repeats the draw bit for bit.
     """
     d = _require_int(d, 2, "d", InvalidDimensionError)
     n = _require_int(n, 0, "n")
     z = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     z /= np.linalg.norm(z, axis=1)[:, None]
-    lead = z[:, 0].copy()
-    lead[lead == 0] = 1.0  # Gaussian draws are never exactly zero; keeps division safe
-    z *= (lead.conj() / np.abs(lead))[:, None]
     return z
 
 

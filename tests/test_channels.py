@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -910,3 +912,39 @@ def test_non_finite_input_is_rejected():
     for build in cases:
         with pytest.raises(CohbreakError, match="NaN or infinite"):
             build()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_haar_unitary_is_the_square_ginibre_qr_draw(d):
+    # The draw written out: QR of a Ginibre matrix, R's diagonal phases moved into Q.
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    expected = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    assert haar_unitary(d, np.random.default_rng(d)).tobytes() == expected.tobytes()
+
+
+def test_random_channel_draws_only_its_isometry():
+    # A (d k) x d isometry, not a (d k) x (d k) unitary: 0.7 MB here, 26 MB per unitary copy.
+    tracemalloc.start()
+    try:
+        random_channel(32, 40, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("d, k", [(2, 3), (3, 1), (4, 5)])
+def test_random_channel_isometry_entry_has_the_haar_law(d, k):
+    # |V_00|^2 of a Haar isometry C^d -> C^n, n = d k, is Beta(1, n - 1), with raw
+    # moments E[x^j] = j! / (n (n + 1) ... (n + j - 1)): mean 1/n and variance
+    # (n - 1) / (n^2 (n + 1)). Both sample estimates lie within 4 standard errors.
+    n, draws, rng = d * k, 4000, np.random.default_rng(20261019)
+    x = np.array([abs(random_channel(d, k, rng).kraus_ops[0, 0, 0]) ** 2 for _ in range(draws)])
+    m = [math.factorial(j) / math.prod(range(n, n + j)) for j in range(5)]
+    mean, var = m[1], (n - 1) / (n * n * (n + 1))
+    assert math.isclose(m[2] - mean**2, var, rel_tol=1e-12)
+    mu4 = m[4] - 4 * m[3] * mean + 6 * m[2] * mean**2 - 3 * mean**4
+    assert abs(x.mean() - mean) <= 4 * math.sqrt(var / draws)
+    assert abs(x.var(ddof=1) - var) <= 4 * math.sqrt((mu4 - var**2) / draws)

@@ -16,6 +16,7 @@ from cohbreak.channels import (
     gad_channel,
     haar_unitary,
     identity_channel,
+    kraus_to_choi,
     make_channel,
     partial_dephasing_channel,
     random_channel,
@@ -39,6 +40,7 @@ from cohbreak.classifiers import (
 )
 from cohbreak.dynamics import certify_incoherent, coherence_breaking_index, factorization_check
 from cohbreak.errors import HypothesisViolatedError, NotIncoherentChannelError
+from cohbreak.linalg import partial_transpose
 from cohbreak.states import from_bloch
 from conftest import (
     HADAMARD,
@@ -504,3 +506,11 @@ def test_classify_verdicts_ignore_kraus_order(data, d, kind, seed):
     order = data.draw(st.permutations(range(ch.n_ops)))
     permuted = make_channel([ch.kraus_ops[i] for i in order], dim=d)
     assert classify(permuted).verdicts == classify(ch).verdicts
+
+
+def test_eb_witness_is_the_partial_transpose_of_the_choi_matrix(corpus):
+    # The EB test's PT, built through linalg.partial_transpose, is that of kraus_to_choi.
+    for name, ch in corpus:
+        expected = np.linalg.eigvalsh(partial_transpose(kraus_to_choi(ch).matrix, ch.dim)).min()
+        _, witness = is_entanglement_breaking(ch)
+        assert witness["min_pt_eigenvalue"] == float(expected), name

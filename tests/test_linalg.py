@@ -204,3 +204,9 @@ def test_partial_trace_of_product_state():
     both = np.kron(rho, sigma)
     assert np.abs(partial_trace(both, 2, keep=0) - rho).max() < 1e-14
     assert np.abs(partial_trace(both, 2, keep=1) - sigma).max() < 1e-14
+
+
+def test_trace_distance_rejects_a_non_hermitian_difference():
+    # eigvalsh reads one triangle only: this pair would read as distance 0, not 1.
+    with pytest.raises(NotHermitianError, match="hermiticity defect"):
+        trace_distance([[0, 1], [0, 0]], np.zeros((2, 2)))

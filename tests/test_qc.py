@@ -19,7 +19,8 @@ from cohbreak.channels import (
     random_channel,
     random_povm,
 )
-from cohbreak.classifiers import _QC_BAND, DEFAULT_TOL, classify, is_cbc, is_qc
+from cohbreak.classifiers import _QC_BAND, DEFAULT_TOL, _qc_inputs, classify, is_cbc, is_qc
+from cohbreak.linalg import generalized_gell_mann
 from conftest import pairwise_commutator_oracle
 
 TOL = DEFAULT_TOL
@@ -119,3 +120,16 @@ def test_is_qc_says_yes_where_is_cbc_does(d):
     assert is_cbc(channel)[0]
     ok, witness = is_qc(channel)
     assert ok and witness["implied_by"] == "cbc", witness
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_qc_diagonal_weights_are_the_gell_mann_diagonals(d):
+    # Closed-form weights: the diagonals of the d - 1 diagonal generators, then of I.
+    _, mix, _ = _qc_inputs(d)
+    if d == 1:
+        assert mix.shape == (1, 1) and mix[0, 0] == 1.0
+        return
+    diagonal = generalized_gell_mann(d).generators[d * d - d:] + (np.eye(d),)
+    expected = np.stack([g.diagonal().real for g in diagonal], 1)
+    assert mix.dtype == expected.dtype and mix.shape == expected.shape
+    assert mix.tobytes() == expected.tobytes()

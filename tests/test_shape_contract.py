@@ -6,6 +6,7 @@ import pytest
 
 from cohbreak.channels import (ChoiMatrix, KrausChannel, QubitAffine, apply, gad_channel,
                                identity_channel)
+from cohbreak.coherence import c_l1, is_incoherent_state
 from cohbreak.concentration import apply_batch
 from cohbreak.dynamics import evolve, factorization_check
 from cohbreak.errors import DimensionMismatchError
@@ -56,6 +57,10 @@ CASES = {
                                "coords", (8,), (3,)),
     "hermitian_eigendecomposition": (lambda: hermitian_eigendecomposition(np.ones((2, 3))),
                                      "matrix a", (2, 3), (2, 2)),
+    "c_l1-rectangular": (lambda: c_l1(np.ones((2, 3))), "rho", (2, 3), (2, 2)),
+    "c_l1-vector": (lambda: c_l1(np.ones(3)), "rho", (3,), (1, 1)),
+    "c_l1-batch": (lambda: c_l1(np.ones((4, 2, 3))), "rho", (4, 2, 3), (4, 2, 2)),
+    "is_incoherent_state": (lambda: is_incoherent_state(np.ones((2, 3))), "rho", (2, 3), (2, 2)),
 }
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cohbreak.coherence import is_incoherent_state
 from cohbreak.errors import (
     BlochOutOfBallError,
     DimensionMismatchError,
@@ -59,6 +60,8 @@ NON_FINITE_CALLS = {
     "maximally_coherent": lambda x: maximally_coherent(3, [0.0, x, 0.0]),
     "from_generalized_bloch": lambda x: from_generalized_bloch(np.full(8, x),
                                                                generalized_gell_mann(3)),
+    "is_incoherent_state-off-diagonal": lambda x: is_incoherent_state([[0.5, x], [0, 0.5]]),
+    "is_incoherent_state-diagonal": lambda x: is_incoherent_state([[x, 0], [0, 0.5]]),
 }
 
 
@@ -228,3 +231,11 @@ def test_state_json_conversion_failures_are_value_errors(obj):
 def test_complex_matrix_json_failures_are_value_errors(data):
     with pytest.raises(ValueError):
         complex_matrix_from_json(data)
+
+
+def test_haar_random_kets_are_the_normalized_gaussian_draw():
+    # No phase convention: the seeded draw, each row divided by its norm.
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+    expected = z / np.linalg.norm(z, axis=1)[:, None]
+    assert haar_random_kets(4, 7, np.random.default_rng(5)).tobytes() == expected.tobytes()
