@@ -37,10 +37,9 @@ from .errors import (
     NotPOVMError,
     NotPSDError,
     NotTracePreservingError,
-    ParameterOutOfRangeError,
 )
-from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_int, _require_real, _require_shape,
-                     hermiticity_defect, partial_trace, require_finite)
+from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_array, _require_int, _require_real,
+                     _require_shape, hermiticity_defect, partial_trace, require_finite)
 from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex_matrix_to_json,
                      json_parser)
 
@@ -62,14 +61,13 @@ class KrausChannel:
     kraus_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        d, ops = self.dim, [np.asarray(k, dtype=complex) for k in self.kraus_ops]
+        ops = list(self.kraus_ops)
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
-        d = _require_int(d, 1, "d", InvalidDimensionError)
+        d = _require_int(self.dim, 1, "d", InvalidDimensionError)
         object.__setattr__(self, "dim", d)
-        for n, k in enumerate(ops):
-            _require_shape(k, (d, d), f"Kraus operator {n}")
-        stack = np.array(ops)
+        stack = np.array([_require_shape(k, (d, d), f"Kraus operator {n}")
+                          for n, k in enumerate(ops)])
         stack.flags.writeable = False
         object.__setattr__(self, "kraus_ops", stack)
         require_finite(stack, "Kraus operators")
@@ -109,9 +107,12 @@ class KrausChannel:
 
 
 def make_channel(kraus_ops, dim: int | None = None) -> KrausChannel:
-    """Build a KrausChannel, taking dim from the first operator unless given."""
+    """Build a KrausChannel; dim, unless given, is the side of the first operator."""
     ops = list(kraus_ops)
-    return KrausChannel(dim=np.shape(ops[0])[0] if dim is None and ops else dim, kraus_ops=ops)
+    if dim is None and ops:
+        ops[0] = _require_shape(ops[0], None, "Kraus operator 0")
+        dim = len(ops[0])
+    return KrausChannel(dim=dim, kraus_ops=ops)
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,7 @@ class ChoiMatrix:
 
     def __post_init__(self) -> None:
         d = self.dim
-        _require_shape(self.matrix, (d * d, d * d), "Choi matrix")
-        require_finite(self.matrix, "Choi matrix")
+        _require_array(self.matrix, (d * d, d * d), "Choi matrix")
         if hermiticity_defect(self.matrix) > TOL_HERM:
             raise NotPSDError("Choi matrix is not Hermitian within tolerance")
         w_min = float(np.linalg.eigvalsh(self.matrix).min())
@@ -152,11 +152,8 @@ class QubitAffine:
     COHERENT_ROWS = slice(1, 3)  # the x and y rows of `transfer`
 
     def __post_init__(self) -> None:
-        for what, given, shape in (("m", self.m, (3, 3)), ("shift", self.shift, (3,))):
-            a = _require_shape(given, shape, what, dtype=None)
-            if a.dtype.kind not in "biuf":  # real; bool too, as the wire form reads true as 1
-                raise ParameterOutOfRangeError(f"need a real {what}, got dtype {a.dtype}")
-            require_finite(a, what)
+        _require_array(self.m, (3, 3), "m", float)
+        _require_array(self.shift, (3,), "shift", float)
 
     @property
     def transfer(self) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import _require_shape, _require_tol, require_finite, von_neumann_entropy
+from .linalg import _require_array, _require_shape, _require_tol, von_neumann_entropy
 
 DEFAULT_INCOHERENCE_TOL = 1e-9
 
@@ -32,8 +32,9 @@ def c_l1(rho: np.ndarray) -> float | np.ndarray:
 
 
 def dephase(rho: np.ndarray) -> np.ndarray:
-    """Diagonal part of rho in the reference basis; idempotent."""
-    rho = np.asarray(rho, dtype=complex)
+    """Diagonal part of rho in the reference basis; idempotent. rho must be square, of its
+    own size, and finite."""
+    rho = _require_array(rho, None, "rho")
     return np.diag(np.diag(rho))
 
 
@@ -47,7 +48,5 @@ def is_incoherent_state(rho: np.ndarray, tol: float = DEFAULT_INCOHERENCE_TOL) -
     """True iff every off-diagonal magnitude is at most tol, a finite tol > 0. rho must be
     square, of its own size (DimensionMismatchError), and finite (NonFiniteError)."""
     tol = _require_tol(tol)
-    rho = _require_shape(rho, (math.isqrt(np.size(rho)),) * 2, "rho")  # square, of its size
-    require_finite(rho, "rho")
-    off = np.abs(rho - np.diag(np.diag(rho)))
-    return bool(off.max() <= tol) if off.size else True
+    rho = _require_array(rho, None, "rho")
+    return bool(np.abs(rho - np.diag(np.diag(rho))).max() <= tol)

@@ -30,7 +30,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
-from .linalg import _require_int, _require_real, _require_shape, require_finite
+from .linalg import _require_array, _require_int, _require_real
 from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
@@ -106,8 +106,7 @@ def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
     """
     factors, d = _normalize_factors(channel)
     dims = [f.dim for f in factors]
-    rhos = _require_shape(rhos, np.shape(rhos)[:1] + (d, d), "batch")
-    require_finite(rhos, "batch")
+    rhos = _require_array(rhos, (None, d, d), "batch")
     pairs = rhos.reshape(len(rhos), *dims, *dims).transpose(_pair_order(len(dims)))
     return _apply_legs(factors, pairs.copy())  # a copy: _apply_legs overwrites it
 

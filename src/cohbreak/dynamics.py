@@ -8,7 +8,6 @@ coherence of a probe state sharing the input's generalized-Bloch direction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,13 +16,8 @@ import numpy as np
 from .channels import KrausChannel, QubitAffine, _coherent_rows, apply
 from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
 from .coherence import c_l1, is_incoherent_state
-from .errors import (
-    HypothesisViolatedError,
-    IncoherentInputError,
-    InvalidDimensionError,
-    NotIncoherentChannelError,
-)
-from .linalg import _require_int, _require_shape, _require_tol, require_finite
+from .errors import HypothesisViolatedError, IncoherentInputError, NotIncoherentChannelError
+from .linalg import _require_array, _require_int, _require_shape, _require_tol
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -131,8 +125,7 @@ def evolve(
     run; sudden death is the first step at most tol, a finite tol > 0."""
     steps = _require_int(steps, 1, "steps")
     tol = _require_tol(tol)
-    state = _require_shape(state, (channel.dim, channel.dim), "state")
-    require_finite(state, "state")
+    state = _require_array(state, (channel.dim, channel.dim), "state")
     values = [c_l1(state)]
     for _ in range(steps):
         state = apply(channel, state)
@@ -167,10 +160,8 @@ def probe_state(state: np.ndarray) -> ProbeState:
     IncoherentInputError when the source has no traceless component or no
     off-diagonal component (c_l1(rho_0) would divide by zero).
     """
-    d = math.isqrt(np.size(state))  # the side of a square array of that size
-    h = _require_shape(state, (d, d), "state")
-    _require_int(d, 1, "d", InvalidDimensionError)
-    require_finite(h, "state")
+    h = _require_array(state, None, "state")
+    d = len(h)
     h = (h + h.conj().T) / 2
     rho_0 = h - np.trace(h).real / d * np.eye(d)
     norm = float(np.linalg.norm(rho_0))

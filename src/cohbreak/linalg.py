@@ -71,11 +71,34 @@ def _require_int(value, low: int, what: str, error=ParameterOutOfRangeError) -> 
     return int(value)
 
 
-def _require_shape(a, shape: tuple, what: str, dtype=complex) -> np.ndarray:
-    """np.asarray(a, dtype); raises DimensionMismatchError unless it has exactly that shape."""
-    a = np.asarray(a, dtype=dtype)
-    if a.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {a.shape}, expected {shape}")
+def _require_shape(a, shape: tuple | None, what: str, dtype=complex) -> np.ndarray:
+    """a as a `dtype` array of numbers, real ones if dtype is float (bools read as 0 and 1;
+    else ParameterOutOfRangeError, also for a ragged nesting), of exactly `shape`, where a
+    leading None matches any length, else DimensionMismatchError. shape=None means square,
+    of its own size, with side >= 1 (InvalidDimensionError if empty)."""
+    rule, kinds = ("real", "biuf") if dtype is float else ("numeric", "biufc")
+    try:
+        got = np.asarray(a)
+    except ValueError:  # numpy refuses a ragged nesting
+        got = None
+    if got is None or got.dtype.kind not in kinds:
+        given = "a ragged nesting" if got is None else f"dtype {got.dtype}"
+        raise ParameterOutOfRangeError(f"need a {rule} {what}, got {given}")
+    if shape is None:  # square, of its own size
+        if got.size == 0:
+            raise InvalidDimensionError(f"{what} has shape {got.shape}: need d >= 1, got 0")
+        shape = (math.isqrt(got.size),) * 2
+    elif shape[0] is None:
+        shape = got.shape[:1] + shape[1:]
+    if got.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {got.shape}, expected {shape}")
+    return got.astype(dtype, copy=False)
+
+
+def _require_array(a, shape: tuple | None, what: str, dtype=complex) -> np.ndarray:
+    """`_require_shape`, then NonFiniteError on a NaN or infinite entry."""
+    a = _require_shape(a, shape, what, dtype)
+    require_finite(a, what)
     return a
 
 
@@ -101,8 +124,7 @@ def hermitian_eigendecomposition(
     Raises NotHermitianError if the Hermiticity defect exceeds tol (a finite real > 0).
     """
     tol = _require_tol(tol)
-    a = _require_shape(a, (math.isqrt(np.size(a)),) * 2, "matrix a")  # square, of its size
-    require_finite(a, "matrix a")
+    a = _require_array(a, None, "matrix a")
     _require_hermitian(a, tol)
     w, v = np.linalg.eigh(a)
     return w, v
@@ -115,10 +137,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     and for qubits the value equals the Euclidean Bloch-vector distance.
     Raises NotHermitianError if rho - sigma is not Hermitian within TOL_HERM.
     """
-    rho = _require_shape(rho, (math.isqrt(np.size(rho)),) * 2, "rho")  # square, of its size
-    sigma = _require_shape(sigma, rho.shape, "sigma")
-    require_finite(rho, "rho")
-    require_finite(sigma, "sigma")
+    rho = _require_array(rho, None, "rho")
+    sigma = _require_array(sigma, rho.shape, "sigma")
     diff = rho - sigma
     _require_hermitian(diff, TOL_HERM)  # eigvalsh reads one triangle only
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())
@@ -133,8 +153,8 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     NotDensityMatrixError on any other violation.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise NotDensityMatrixError(f"expected a square matrix, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise NotDensityMatrixError(f"expected a square matrix of side >= 1, got shape {rho.shape}")
     require_finite(rho, "density matrix")
     if hermiticity_defect(rho) > TOL_HERM:
         raise NotDensityMatrixError("matrix is not Hermitian within tolerance")
@@ -177,12 +197,9 @@ def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
     """
     d = _require_int(d, 1, "d", InvalidDimensionError)
     mat = _require_shape(mat, (d * d, d * d), "mat")
-    t = mat.reshape(d, d, d, d)
-    if keep == 0:
-        return np.einsum("ikjk->ij", t)
-    if keep == 1:
-        return np.einsum("kikj->ij", t)
-    raise ParameterOutOfRangeError(f"need keep 0 or 1, got {keep!r}")
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or keep not in (0, 1):
+        raise ParameterOutOfRangeError(f"need keep 0 or 1, got {keep!r}")
+    return np.einsum("ikjk->ij" if keep == 0 else "kikj->ij", mat.reshape(d, d, d, d))
 
 
 @dataclass(frozen=True)

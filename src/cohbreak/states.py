@@ -13,14 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError
-from .linalg import (PAULIS, HermitianBasis, _require_int, _require_shape, assert_density_matrix,
-                     require_finite)
+from .linalg import PAULIS, HermitianBasis, _require_array, _require_int, assert_density_matrix
 
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
     """Qubit density matrix (I + r.sigma)/2 for a Bloch vector |r| <= 1."""
-    r = _require_shape(r, (3,), "Bloch vector r", float)
-    require_finite(r, "Bloch vector")
+    r = _require_array(r, (3,), "Bloch vector r", float)
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-12:
         raise BlochOutOfBallError(f"|r| = {norm} exceeds 1")
@@ -32,7 +30,7 @@ def from_bloch(r: np.ndarray) -> np.ndarray:
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch coordinates (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z])."""
-    rho = _require_shape(rho, (2, 2), "rho")
+    rho = _require_array(rho, (2, 2), "rho")
     return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
 
 
@@ -44,8 +42,7 @@ def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
     d = _require_int(d, 2, "d", InvalidDimensionError)
     if thetas is None:
         thetas = np.zeros(d)
-    thetas = _require_shape(thetas, (d,), "thetas", float)
-    require_finite(thetas, "thetas")
+    thetas = _require_array(thetas, (d,), "thetas", float)
     psi = np.exp(1j * thetas) / np.sqrt(d)
     return np.outer(psi, psi.conj())
 
@@ -91,8 +88,7 @@ class GeneralizedBloch:
 def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedBloch:
     """Expand rho = I/d + (1/2) sum_i x_i L_i and split x into chi * n."""
     d = basis.dim
-    rho = _require_shape(rho, (d, d), "rho")
-    require_finite(rho, "rho")
+    rho = _require_array(rho, (d, d), "rho")
     coords = np.array([np.trace(rho @ g).real for g in basis.generators])
     chi = float(np.linalg.norm(coords))
     unit = coords / chi if chi > 0.0 else None
@@ -102,8 +98,7 @@ def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedB
 def from_generalized_bloch(coords: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """Inverse of to_generalized_bloch: I/d + (1/2) sum_i x_i L_i."""
     d = basis.dim
-    coords = _require_shape(coords, (d * d - 1,), "coords", float)
-    require_finite(coords, "coords")
+    coords = _require_array(coords, (d * d - 1,), "coords", float)
     rho = np.eye(d, dtype=complex) / d
     for x, g in zip(coords, basis.generators):
         rho += 0.5 * x * g

@@ -865,6 +865,19 @@ def test_zero_dimension_is_an_invalid_dimension(build):
         build()
 
 
+@pytest.mark.parametrize("op, error, message", [
+    (1.0, DimensionMismatchError, "Kraus operator 0 has shape (), expected (1, 1)"),
+    (np.float64(1), DimensionMismatchError, "Kraus operator 0 has shape (), expected (1, 1)"),
+    ("ab", ParameterOutOfRangeError, "need a numeric Kraus operator 0, got dtype <U2"),
+    ([[1, 0], [0]], ParameterOutOfRangeError,
+     "need a numeric Kraus operator 0, got a ragged nesting"),
+], ids=["float", "numpy-float", "string", "ragged"])
+def test_make_channel_reads_dim_off_a_valid_first_operator(op, error, message):
+    with pytest.raises(error) as exc:
+        make_channel([op])
+    assert str(exc.value) == message
+
+
 def test_kraus_array_products_match_the_loops():
     rng = np.random.default_rng(53)
     a, b = random_channel(3, 2, rng), random_channel(3, 3, rng)

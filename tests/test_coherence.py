@@ -15,7 +15,8 @@ from conftest import random_density_matrix
     (np.eye(2), NotDensityMatrixError),
     (np.array([[0.5, 0.5], [0.0, 0.5]]), NotDensityMatrixError),
     (np.array([[0.5, np.nan], [np.nan, 0.5]]), NonFiniteError),
-], ids=["trace-2", "non-hermitian", "nan"])
+    (np.zeros((0, 0)), NotDensityMatrixError),
+], ids=["trace-2", "non-hermitian", "nan", "empty"])
 def test_relative_entropy_rejects_a_non_density_matrix(rho, error):
     with pytest.raises(error):
         c_relative_entropy(rho)

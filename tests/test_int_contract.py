@@ -119,7 +119,7 @@ def test_a_numpy_integer_gives_the_same_result(call, what, low, error, valid):
     assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
 
 
-@pytest.mark.parametrize("keep", [2, -1, None])
+@pytest.mark.parametrize("keep", [2, -1, None, True, 1.0, np.float64(0.0)])
 def test_partial_trace_keeps_factor_0_or_1(keep):
     with pytest.raises(ParameterOutOfRangeError) as exc:
         partial_trace(np.eye(4), 2, keep=keep)

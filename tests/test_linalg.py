@@ -11,6 +11,8 @@ from cohbreak.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    assert_density_matrix,
+    density_eigenvalues,
     generalized_gell_mann,
     hermitian_eigendecomposition,
     partial_trace,
@@ -122,6 +124,13 @@ def test_entropy_rejects_invalid_inputs():
         von_neumann_entropy(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(NotDensityMatrixError):
         von_neumann_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+@pytest.mark.parametrize("call", [density_eigenvalues, assert_density_matrix, von_neumann_entropy])
+def test_an_empty_matrix_fails_the_square_check(call):
+    # Not numpy's zero-size reduction ValueError from the Hermiticity check.
+    with pytest.raises(NotDensityMatrixError, match=r"side >= 1, got shape \(0, 0\)"):
+        call(np.zeros((0, 0)))
 
 
 def test_gell_mann_qubit_is_pauli():
