@@ -123,7 +123,8 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.dim
+        d = _require_int(self.dim, 1, "d", InvalidDimensionError)
+        object.__setattr__(self, "dim", d)
         _require_array(self.matrix, (d * d, d * d), "Choi matrix")
         if hermiticity_defect(self.matrix) > TOL_HERM:
             raise NotPSDError("Choi matrix is not Hermitian within tolerance")
@@ -356,7 +357,7 @@ def cbc_from_povm(effects) -> KrausChannel:
     order. The Kraus set is K_ik = sqrt(lambda_ik) |i><phi_ik| from one eigh of each
     effect, lambda_ik > RANK_CUTOFF, so every Kraus branch outputs a diagonal state.
     """
-    effects = [np.asarray(f, dtype=complex) for f in effects]
+    effects = [_require_shape(f, ..., f"effect {i}") for i, f in enumerate(effects)]
     if not effects:
         raise NotPOVMError("need at least one effect")
     d = effects[0].shape[0]

@@ -22,7 +22,7 @@ def c_l1(rho: np.ndarray) -> float | np.ndarray:
     One d x d matrix gives a float, a (b, d, d) batch an array of b values;
     each matrix must be square, of its own size (DimensionMismatchError).
     """
-    mags = np.abs(np.asarray(rho, dtype=complex))
+    mags = np.abs(_require_shape(rho, ..., "rho"))
     if mags.ndim not in (2, 3) or mags.shape[-1] != mags.shape[-2]:  # no pass over the data
         d = math.isqrt(math.prod(mags.shape[-2:]))  # each matrix square, of its own size
         _require_shape(mags, mags.shape[:-2][-1:] + (d, d), "rho", float)  # differs: raises

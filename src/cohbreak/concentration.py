@@ -6,18 +6,17 @@ the mean output coherence, and end-to-end tail experiments comparing
 empirical frequencies against the bounds.
 
 Channels may be passed either as a single KrausChannel or as any iterable of
-KrausChannel tensor factors (left to right), applied leg by leg through each
-leg's cached `transfer` (dk^4 entries). A single factor on pure inputs never
-builds its d^4 transfer matrix. A rank-1 channel gives
+KrausChannel tensor factors (left to right). A single factor on pure inputs
+never builds its d^4 transfer matrix. A rank-1 channel gives
 c_l1 = (sum |w|)^2 - sum |w|^2 from w = K psi, elementwise for a diagonal K
 (the identity, diagonal unitaries). Diagonal Kraus operators D[n] = diag(K_n)
 make a Schur multiplier, Phi(rho)_ij = M_ij rho_ij with M = D^T conj(D), so
 c_l1 = |psi|^T W |psi| with W = |M| off the diagonal: one (b, d) x (d, d)
-product. Any other single factor goes through its (n_ops, d, d) `kraus_ops`
-in one GEMM, and a product forms |psi><psi| in leg-pair order and runs the
-legs in two alternating buffers. Those two run in chunks sized so that
-everything a chunk holds at once fits the `_CHUNK_BYTES` byte budget, and
-`coherence.c_l1` reads each chunk's outputs as one batch.
+product. Any other single factor goes through its (n_ops, d, d) `kraus_ops` in
+one GEMM, in chunks that fit `_CHUNK_BYTES`. A product runs `_product_blocks`:
+adjacent qubit legs pair up into one 16 x 16 transfer, |psi><psi| is built in
+leg-pair order, and c_l1 is read off that order with no reorder, in blocks
+sized to L2 (`_BLOCK_BYTES`) whose two reused buffers bound peak memory.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .states import _rng, haar_random_kets
 DEFAULT_SAMPLES = 10_000
 # Bytes a chunk holds at once; `_by_chunk` counts a ket's share.
 _CHUNK_BYTES = 32 * 2**20
+# Bytes a `_product_blocks` block holds at once, sized to one core's L2 cache.
+_BLOCK_BYTES = 4 * 2**20
 
 
 def levy_bound(d: int, epsilon: float, eta_c: float, eta_ch: float) -> float:
@@ -96,53 +97,71 @@ def _normalize_factors(channel) -> tuple[list[KrausChannel], int]:
 
 
 def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
-    """Apply a channel (or tensor factors, left to right) to a state batch.
-
-    The batch is reordered once to (b, d1^2, d2^2, ...), so each leg's
-    (row, col) pair is one axis, and each leg is one matmul with its cached
-    `transfer`: dk^4 entries, the same array `classify` builds. A matmul
-    moves its leg to the back, so after the last leg the order is restored.
-    Raises DimensionMismatchError unless rhos is (b, d, d), NonFiniteError on NaN or inf.
-    """
+    """Apply a channel (or tensor factors, left to right) to a state batch, through
+    `_product_blocks`: the legs' cached `transfer`s (dk^4 entries, as `classify` builds).
+    Raises DimensionMismatchError unless rhos is (b, d, d), NonFiniteError on NaN or inf."""
     factors, d = _normalize_factors(channel)
-    dims = [f.dim for f in factors]
-    rhos = _require_array(rhos, (None, d, d), "batch")
-    pairs = rhos.reshape(len(rhos), *dims, *dims).transpose(_pair_order(len(dims)))
-    return _apply_legs(factors, pairs.copy())  # a copy: _apply_legs overwrites it
+    return _product_blocks(factors, _require_array(rhos, (None, d, d), "batch"), _natural)
 
 
-def _pair_order(n: int) -> list[int]:
-    """Axes that take (b, i1..in, j1..jn) to (b, i1, j1, ..., in, jn)."""
-    return [0] + [ax for k in range(1, n + 1) for ax in (k, n + k)]
-
-
-def _apply_legs(factors: list[KrausChannel], pairs: np.ndarray) -> np.ndarray:
-    """`apply_batch` on a contiguous (b, d1, d1, d2, d2, ...) batch, which it
-    overwrites: the legs and the final reorder alternate between it and one
-    spare buffer, so a sample holds two d x d arrays here."""
-    dims = [f.dim for f in factors]
-    b, d = len(pairs), int(np.prod(dims))
-    x, spare = pairs.reshape(b, d * d), np.empty((b, d * d), dtype=complex)
+def _product_blocks(factors: list[KrausChannel], inputs: np.ndarray, reduce, group: int = 1):
+    """reduce(Phi(block), dims) on blocks of whole `group`s of (n, d) kets, each taken as
+    |psi><psi|, or of (n, d, d) states, concatenated. Adjacent legs merge while their
+    dimension D_g is at most 4. A block of b is laid out (D1, D1, D2, D2, ..., b): kets as
+    rows (D1, 1, D2, 1, ..., b) times conjugate columns (1, D1, 1, D2, ..., b). Each group's
+    GEMM with its transfer moves its pair behind the batch, so reduce gets (b, d^2) in pair
+    order. A block fits `_BLOCK_BYTES` at three d x d arrays a ket; its two buffers are reused."""
+    groups = []  # (D_g, the transfer of the group's legs' product)
     for f in factors:
-        a = f.dim**2
-        np.matmul(x.reshape(b, a, d * d // a).transpose(0, 2, 1), f.transfer.T,
-                  out=spare.reshape(b, d * d // a, a))
-        x, spare = spare, x
-    out = spare.reshape(b, *dims, *dims)
-    out[...] = x.reshape(pairs.shape).transpose(np.argsort(_pair_order(len(dims))))
-    return out.reshape(b, d, d)
+        if groups and groups[-1][0] * f.dim <= 4:
+            (a, t), c = groups.pop(), f.dim
+            t = np.kron(t, f.transfer).reshape((a, a, c, c) * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+            groups.append((a * c, t.reshape((a * c) ** 2, -1)))
+        else:
+            groups.append((f.dim, f.transfer))
+    dims = [D for D, _ in groups]
+    n, d, k, kets = len(inputs), int(np.prod(dims)), len(dims), inputs.ndim == 2
+    pairs = [D for D in dims for _ in (0, 1)]
+    inputs = inputs.T if kets else inputs.reshape(n, *dims, *dims).transpose(
+        [ax for g in range(1, k + 1) for ax in (g, k + g)] + [0])
+    step = group * max(1, _BLOCK_BYTES // (48 * d * d * group))
+    x, spare = np.empty((2, min(step, n) * d * d), dtype=complex)
+    results = []
+    for start in range(0, max(n, 1), step):  # an empty batch runs one empty block
+        block, b = inputs[..., start:start + step], min(step, n - start)
+        xb, sb = x[:b * d * d], spare[:b * d * d]
+        if kets:
+            np.multiply(block.reshape(*[s for D in dims for s in (D, 1)], b),
+                        block.conj().reshape(*[s for D in dims for s in (1, D)], b),
+                        out=xb.reshape(*pairs, b))
+        else:
+            xb.reshape(*pairs, b)[...] = block
+        for D, t in groups:
+            np.matmul(xb.reshape(D * D, -1).T, t.T, out=sb.reshape(-1, D * D))
+            xb, sb = sb, xb
+        results.append(reduce(xb.reshape(b, d * d), dims))
+    return np.concatenate(results)
+
+
+def _natural(out: np.ndarray, dims: list[int]) -> np.ndarray:
+    """Pair-order outputs (b, d^2) of `_product_blocks` as a new (b, d, d) array."""
+    b, k, d = len(out), len(dims), int(np.prod(dims))
+    pairs = out.reshape(b, *[D for D in dims for _ in (0, 1)])
+    return pairs.transpose(0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2)).copy().reshape(b, d, d)
+
+
+def _pair_c_l1(out: np.ndarray, dims: list[int]) -> np.ndarray:
+    """c_l1 of pair-order outputs (b, d^2): the sum of |x| less the diagonal, every
+    (D_g + 1)-th entry along each group's pair axis."""
+    mags = np.abs(out)
+    diag = mags.reshape(len(out), *[D * D for D in dims])[
+        (slice(None), *[slice(None, None, D + 1) for D in dims])]
+    return mags.sum(axis=1) - diag.sum(axis=tuple(range(1, len(dims) + 1)))
 
 
 def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
-    """Phi(|psi><psi|) per ket; a single factor goes through W = kets K^T, a
-    product builds |psi><psi| directly in the leg-pair order of `_apply_legs`."""
+    """Phi(|psi><psi|) per ket for a single factor, through W = kets K^T."""
     b = len(kets)
-    if len(factors) > 1:
-        dims, n = [f.dim for f in factors], len(factors)
-        pairs = np.einsum(kets.reshape(b, *dims), [0, *range(1, n + 1)],
-                          kets.conj().reshape(b, *dims), [0, *range(n + 1, 2 * n + 1)],
-                          _pair_order(n))
-        return _apply_legs(factors, pairs)
     kstack = factors[0].kraus_ops
     m, d, _ = kstack.shape
     w = (kets @ kstack.reshape(m * d, d).T).reshape(b, m, d)
@@ -152,8 +171,10 @@ def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
 def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
     factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, samples, _rng(seed))
-    diag = factors[0].kraus_diagonals if len(factors) == 1 else None
-    if len(factors) == 1 and factors[0].n_ops == 1:
+    if len(factors) > 1:
+        return _product_blocks(factors, kets, _pair_c_l1)
+    diag = factors[0].kraus_diagonals
+    if factors[0].n_ops == 1:
         mags = np.abs(kets * diag[0] if diag is not None else kets @ factors[0].kraus_ops[0].T)
         return mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1)
     if diag is not None:
@@ -164,13 +185,14 @@ def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
 
 
 def _by_chunk(reduce, factors: list[KrausChannel], kets: np.ndarray, group: int = 1) -> np.ndarray:
-    """reduce(Phi(|psi><psi|)) on chunks of whole `group`s of kets, concatenated. A ket
-    holds w, its conjugate and two d x d arrays for one factor, at most three d x d arrays
-    for a product; a chunk fits `_CHUNK_BYTES`, and its outputs are freed before the next
-    chunk's are built. The rank-1 and Schur (diagonal Kraus) paths run unchunked."""
+    """reduce(Phi(|psi><psi|)) in natural order on chunks of whole `group`s of kets,
+    concatenated; a product runs `_product_blocks`. For one factor a ket holds w, its
+    conjugate and two d x d arrays; a chunk fits `_CHUNK_BYTES`, and its outputs are freed
+    before the next chunk's are built. The rank-1 and Schur paths run unchunked."""
+    if len(factors) > 1:
+        return _product_blocks(factors, kets, lambda out, dims: reduce(_natural(out, dims)), group)
     d = kets.shape[1]
-    entries = group * (3 * d * d if len(factors) > 1 else 2 * d * (factors[0].n_ops + d))
-    step = group * max(1, _CHUNK_BYTES // (16 * entries))
+    step = group * max(1, _CHUNK_BYTES // (16 * group * 2 * d * (factors[0].n_ops + d)))
     return np.concatenate([reduce(_pure_outputs(factors, kets[start:start + step]))
                            for start in range(0, len(kets), step)])
 

@@ -75,7 +75,7 @@ def _require_shape(a, shape: tuple | None, what: str, dtype=complex) -> np.ndarr
     """a as a `dtype` array of numbers, real ones if dtype is float (bools read as 0 and 1;
     else ParameterOutOfRangeError, also for a ragged nesting), of exactly `shape`, where a
     leading None matches any length, else DimensionMismatchError. shape=None means square,
-    of its own size, with side >= 1 (InvalidDimensionError if empty)."""
+    of its own size, with side >= 1 (InvalidDimensionError if empty); shape=... any shape."""
     rule, kinds = ("real", "biuf") if dtype is float else ("numeric", "biufc")
     try:
         got = np.asarray(a)
@@ -84,11 +84,12 @@ def _require_shape(a, shape: tuple | None, what: str, dtype=complex) -> np.ndarr
     if got is None or got.dtype.kind not in kinds:
         given = "a ragged nesting" if got is None else f"dtype {got.dtype}"
         raise ParameterOutOfRangeError(f"need a {rule} {what}, got {given}")
+    shape = got.shape if shape is ... else shape
     if shape is None:  # square, of its own size
         if got.size == 0:
             raise InvalidDimensionError(f"{what} has shape {got.shape}: need d >= 1, got 0")
         shape = (math.isqrt(got.size),) * 2
-    elif shape[0] is None:
+    elif shape[:1] == (None,):
         shape = got.shape[:1] + shape[1:]
     if got.shape != shape:
         raise DimensionMismatchError(f"{what} has shape {got.shape}, expected {shape}")
@@ -152,7 +153,7 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     Raises NonFiniteError on a NaN or infinite entry and
     NotDensityMatrixError on any other violation.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _require_shape(rho, ..., "rho")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
         raise NotDensityMatrixError(f"expected a square matrix of side >= 1, got shape {rho.shape}")
     require_finite(rho, "density matrix")

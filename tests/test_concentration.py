@@ -477,3 +477,64 @@ def test_experiment_checks_the_dimension_before_sampling(monkeypatch, d):
         run_concentration_experiment(gad_channel(0.7, 0.3), d=d, samples=2000,
                                      epsilons=[0.1], seed=1)
     assert str(exc.value) == str(expected.value)
+
+
+def _legs_and_product(dims, seed):
+    """random_channel legs (not phase-covariant, so every transfer entry counts) and
+    their kron_channel."""
+    rng = np.random.default_rng(seed)
+    legs = [random_channel(dk, 2, rng) for dk in dims]
+    full = legs[0]
+    for leg in legs[1:]:
+        full = kron_channel(full, leg)
+    return legs, full
+
+
+def _haar_inputs_and_outputs(full, samples, seed):
+    """The seeded Haar inputs |psi><psi| of the sampling path and apply's outputs on them."""
+    kets = haar_random_kets(full.dim, samples, np.random.default_rng(seed))
+    rhos = np.einsum("bi,bj->bij", kets, kets.conj())
+    return rhos, np.stack([apply(full, rho) for rho in rhos])
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [2, 3, 2], [3, 2, 2], [2, 2, 2, 2, 2]],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_grouped_legs_match_the_kron_channel(dims):
+    legs, full = _legs_and_product(dims, seed=sum(dims))
+    rng = np.random.default_rng(len(dims))
+    rhos = np.stack([random_density_matrix(full.dim, rng) for _ in range(3)])
+    naive = np.stack([apply(full, rho) for rho in rhos])
+    assert np.abs(apply_batch(legs, rhos) - naive).max() < 1e-12
+    _, outs = _haar_inputs_and_outputs(full, 8, 7)
+    assert np.abs(_sample_output_coherences(legs, 8, 7) - c_l1(outs)).max() < 1e-12
+
+
+def test_counts_either_side_of_a_block_give_the_per_ket_values():
+    legs, full = _legs_and_product([2, 2, 2, 2, 2], seed=17)
+    block = concentration._BLOCK_BYTES // (48 * full.dim**2)
+    assert block > 2
+    for samples in (block - 1, block + 1):
+        rhos, outs = _haar_inputs_and_outputs(full, samples, 5)
+        assert np.abs(_sample_output_coherences(legs, samples, 5) - c_l1(outs)).max() < 1e-12
+        assert np.abs(apply_batch(legs, rhos) - outs).max() < 1e-12
+    # A contraction_check block holds whole pairs: 2 * (block // 2) kets.
+    for pairs in (block // 2 - 1, block // 2 + 1):
+        rhos, outs = _haar_inputs_and_outputs(full, 2 * pairs, 6)
+        ratios = [trace_distance(outs[i], outs[i + 1]) / trace_distance(rhos[i], rhos[i + 1])
+                  for i in range(0, 2 * pairs, 2)]
+        assert abs(contraction_check(legs, pairs, 6) - max(ratios)) < 1e-10
+
+
+# Seeds fixed in advance. A product of Schur multipliers is the multiplier M = (x)_k M_k,
+# so for Haar inputs E c_l1 = (pi / 4d) (prod_k sum_ij |M_k,ij| - d), read off the
+# product path, not the single-factor Schur path.
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_dephasing_product_mean_matches_the_exact_haar_moment(seed):
+    legs = [partial_dephasing_channel(2, 0.3), partial_dephasing_channel(2, 0.6),
+            partial_dephasing_channel(3, 0.5)]
+    total = np.prod([np.abs(leg.kraus_diagonals.T @ leg.kraus_diagonals.conj()).sum()
+                     for leg in legs])
+    exact = np.pi / (4 * 12) * (total - 12)
+    assert abs(exact - 2.48186) < 1e-5
+    mean, stderr = estimate_mean_coherence(legs, 4000, seed)
+    assert abs(mean - exact) < 4.0 * stderr

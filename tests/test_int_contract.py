@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cohbreak.channels import (
+    ChoiMatrix,
     KrausChannel,
     affine_from_kraus,
     affine_iterate,
@@ -52,6 +53,7 @@ def rng():
 #        a valid value to compare against its numpy.int64 twin)
 CASES = {
     "KrausChannel-d": (lambda d: KrausChannel(d, [np.eye(2)]), "d", 1, DIM, 2),
+    "ChoiMatrix-d": (lambda d: ChoiMatrix(d, np.eye(4) / 4), "d", 1, DIM, 2),
     "identity_channel-d": (identity_channel, "d", 1, DIM, 3),
     "dephasing_channel-d": (dephasing_channel, "d", 1, DIM, 3),
     "partial_dephasing_channel-d": (lambda d: partial_dephasing_channel(d, 0.5), "d", 1, DIM, 3),

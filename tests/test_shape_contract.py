@@ -8,14 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cohbreak.channels import (ChoiMatrix, KrausChannel, QubitAffine, apply, gad_channel,
-                               identity_channel, make_channel)
+from cohbreak.channels import (ChoiMatrix, KrausChannel, QubitAffine, apply, cbc_from_povm,
+                               gad_channel, identity_channel, make_channel)
 from cohbreak.coherence import c_l1, dephase, is_incoherent_state
 from cohbreak.concentration import apply_batch
 from cohbreak.dynamics import evolve, factorization_check, probe_state
 from cohbreak.errors import (DimensionMismatchError, InvalidDimensionError, NonFiniteError,
                              ParameterOutOfRangeError)
 from cohbreak.linalg import (
+    density_eigenvalues,
     generalized_gell_mann,
     hermitian_eigendecomposition,
     partial_trace,
@@ -154,3 +155,21 @@ def test_every_array_argument_has_one_contract(call, shape, bad, expected):
 def test_arguments_cover_every_entry_point_but_c_l1():
     entry = {name.split("-")[0] for name in CASES if not name.startswith("c_l1")}
     assert entry == {name.split("-")[0] for name in ARGUMENTS}
+
+
+# Entry points that own their shape errors (c_l1's own message, NotDensityMatrixError,
+# NotPOVMError) still take numbers only, by the same rule and message.
+NUMERIC_ONLY = {
+    "c_l1": (lambda: c_l1([["1", "0.5"], ["0.5", "1"]]), "rho", "<U3"),
+    "density_eigenvalues": (lambda: density_eigenvalues([["0.5", "0"], ["0", "0.5"]]),
+                            "rho", "<U3"),
+    "cbc_from_povm": (lambda: cbc_from_povm([[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]),
+                      "effect 0", "<U1"),
+}
+
+
+@pytest.mark.parametrize("call, what, dtype", NUMERIC_ONLY.values(), ids=NUMERIC_ONLY.keys())
+def test_numeric_strings_are_not_numbers(call, what, dtype):
+    with pytest.raises(ParameterOutOfRangeError) as exc:
+        call()
+    assert str(exc.value) == f"need a numeric {what}, got dtype {dtype}"
