@@ -18,7 +18,8 @@ representation owns the split of its output rows into diagonal (D) and
 coherent (O) ones: `_coherent_rows` for T, ``QubitAffine.COHERENT_ROWS`` (the
 x and y rows) for the pair's transfer matrix R. The CBC and DIO residual of
 every matrix unit, read off that split of T, is cached on the channel too, as
-are the diagonals of a stack of diagonal Kraus operators (`kraus_diagonals`).
+are the incoherence ladder's outcome per tol and Phi(I/d)'s off-diagonal
+maximum; the constructor finds an all-diagonal stack's `kraus_diagonals`.
 
 Composition goes through the Choi matrix of T_outer T_inner whenever the
 product list would exceed d^2 operators, which always suffices.
@@ -26,11 +27,12 @@ product list would exceed d^2 operators, which always suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
+from .coherence import _l1
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -54,25 +56,37 @@ class KrausChannel:
     The operators, given as any iterable of d x d array-likes, are copied
     into kraus_ops: one read-only complex array of shape (n_ops, d, d).
     Channels failing the completeness check are rejected, never silently
-    renormalized.
+    renormalized. kraus_diagonals holds the read-only (n_ops, d) diagonals
+    of the operators if all are diagonal, else None.
     """
 
     dim: int
     kraus_ops: np.ndarray
+    kraus_diagonals: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = list(self.kraus_ops)
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
         d = _require_int(self.dim, 1, "d", InvalidDimensionError)
-        object.__setattr__(self, "dim", d)
-        stack = np.array([_require_shape(k, (d, d), f"Kraus operator {n}")
-                          for n, k in enumerate(ops)])
+        self._hold(np.array([_require_shape(k, (d, d), f"Kraus operator {n}")
+                             for n, k in enumerate(ops)]))
+
+    def _hold(self, stack: np.ndarray) -> None:
+        """Keep a complex (n_ops, d, d) stack read-only if it is finite and complete; a diagonal
+        one is checked with no (n_ops d, d)^dag (n_ops d, d) product."""
+        object.__setattr__(self, "dim", stack.shape[1])
         stack.flags.writeable = False
         object.__setattr__(self, "kraus_ops", stack)
         require_finite(stack, "Kraus operators")
-        flat = stack.reshape(-1, d)  # rows of every K_n, stacked
-        defect = float(np.abs(flat.conj().T @ flat - np.eye(d)).max())
+        diag = stack.diagonal(axis1=1, axis2=2)  # a read-only view
+        diagonal = np.count_nonzero(stack) == np.count_nonzero(diag)
+        object.__setattr__(self, "kraus_diagonals", diag if diagonal else None)
+        if diagonal:  # sum K^dag K is diagonal, with entries sum_n |K_n,ii|^2
+            defect = float(np.abs((np.abs(diag) ** 2).sum(axis=0) - 1.0).max())
+        else:
+            flat = stack.reshape(-1, self.dim)  # rows of every K_n, stacked
+            defect = float(np.abs(flat.conj().T @ flat - np.eye(self.dim)).max())
         if defect > TOL_CPTP:
             raise NotTracePreservingError(
                 f"sum K^dag K deviates from identity by {defect:.3e} (> {TOL_CPTP:.0e})"
@@ -95,15 +109,20 @@ class KrausChannel:
         return _unit_image_maxima(self.transfer, self.dim)
 
     @cached_property
-    def kraus_diagonals(self) -> np.ndarray | None:
-        """Read-only (n_ops, d) diagonals of the Kraus operators if all are diagonal, else None."""
-        diag = self.kraus_ops.diagonal(axis1=1, axis2=2)  # a read-only view
-        return diag if np.count_nonzero(self.kraus_ops) == np.count_nonzero(diag) else None
-
-    @cached_property
     def canonical(self) -> KrausChannel:
         """The canonical Kraus set of the Choi eigendecomposition, built on first use."""
         return choi_to_kraus(kraus_to_choi(self))
+
+    @cached_property
+    def _ladder(self) -> dict:
+        """The incoherent-Kraus ladder's outcome by tol, as `dynamics` fills it in."""
+        return {}
+
+    @cached_property
+    def _mixed_image(self) -> tuple[float, float]:
+        """c_l1 and largest off-diagonal magnitude of Phi(I/d), built on first use."""
+        mags = np.abs(apply(self, np.eye(self.dim, dtype=complex) / self.dim))
+        return _l1(mags), float(mags.max())  # _l1 zeroes the diagonal of mags
 
 
 def make_channel(kraus_ops, dim: int | None = None) -> KrausChannel:
@@ -167,9 +186,13 @@ class QubitAffine:
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n^dag. Linear; rho may be any matrix of matching size."""
-    rho = _require_shape(rho, (channel.dim, channel.dim), "rho")
-    k = channel.kraus_ops
-    return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    return _apply(channel.kraus_ops, _require_shape(rho, (channel.dim, channel.dim), "rho"))
+
+
+def _apply(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_n K_n rho K_n^dag on a checked rho for a Kraus stack k, or on a (b, d, d) batch
+    for k[:, None]."""
+    return (k @ rho @ k.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
@@ -537,7 +560,9 @@ def channel_from_json(obj: dict) -> KrausChannel:
         d = _wire_dim(obj)
         if d is None:
             raise ValueError('the sparse form needs "dim"')
-        return make_channel(_sparse_kraus(d, obj["sparse"]), dim=d)
+        channel = object.__new__(KrausChannel)  # holds the parser's own stack, uncopied
+        channel._hold(_sparse_kraus(d, obj["sparse"]))
+        return channel
     if key == "kraus":
         channel = make_channel([complex_matrix_from_json(k) for k in obj["kraus"]])
         _wire_dim(obj, channel.dim)

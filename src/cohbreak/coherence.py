@@ -26,6 +26,11 @@ def c_l1(rho: np.ndarray) -> float | np.ndarray:
     if mags.ndim not in (2, 3) or mags.shape[-1] != mags.shape[-2]:  # no pass over the data
         d = math.isqrt(math.prod(mags.shape[-2:]))  # each matrix square, of its own size
         _require_shape(mags, mags.shape[:-2][-1:] + (d, d), "rho", float)  # differs: raises
+    return _l1(mags)
+
+
+def _l1(mags: np.ndarray) -> float | np.ndarray:
+    """c_l1 read off mags = |rho| of a checked rho or batch, zeroing its diagonal in place."""
     diag = np.arange(mags.shape[-1])
     mags[..., diag, diag] = 0.0
     return float(mags.sum()) if mags.ndim == 2 else mags.sum(axis=(-2, -1))

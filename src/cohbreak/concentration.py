@@ -6,8 +6,8 @@ the mean output coherence, and end-to-end tail experiments comparing
 empirical frequencies against the bounds.
 
 Channels may be passed either as a single KrausChannel or as any iterable of
-KrausChannel tensor factors (left to right). A single factor on pure inputs
-never builds its d^4 transfer matrix. A rank-1 channel gives
+KrausChannel tensor factors (left to right). A single factor never builds its
+d^4 transfer matrix. A rank-1 channel gives
 c_l1 = (sum |w|)^2 - sum |w|^2 from w = K psi, elementwise for a diagonal K
 (the identity, diagonal unitaries). Diagonal Kraus operators D[n] = diag(K_n)
 make a Schur multiplier, Phi(rho)_ij = M_ij rho_ij with M = D^T conj(D), so
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _apply
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
 from .linalg import _require_array, _require_int, _require_real
@@ -97,11 +97,17 @@ def _normalize_factors(channel) -> tuple[list[KrausChannel], int]:
 
 
 def apply_batch(channel, rhos: np.ndarray) -> np.ndarray:
-    """Apply a channel (or tensor factors, left to right) to a state batch, through
+    """Apply a channel (or tensor factors, left to right) to a state batch. A single factor
+    goes through its Kraus stack in chunks that fit `_CHUNK_BYTES`, a product through
     `_product_blocks`: the legs' cached `transfer`s (dk^4 entries, as `classify` builds).
     Raises DimensionMismatchError unless rhos is (b, d, d), NonFiniteError on NaN or inf."""
     factors, d = _normalize_factors(channel)
-    return _product_blocks(factors, _require_array(rhos, (None, d, d), "batch"), _natural)
+    rhos = _require_array(rhos, (None, d, d), "batch")
+    if len(factors) > 1:
+        return _product_blocks(factors, rhos, _natural)
+    k = factors[0].kraus_ops[:, None]  # a state holds two (n_ops, d, d) products
+    step = max(1, _CHUNK_BYTES // (32 * k.size))
+    return np.concatenate([_apply(k, rhos[i:i + step]) for i in range(0, max(len(rhos), 1), step)])
 
 
 def _product_blocks(factors: list[KrausChannel], inputs: np.ndarray, reduce, group: int = 1):

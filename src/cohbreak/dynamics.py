@@ -4,6 +4,8 @@ Coherence breaking indices (the least power of a channel that destroys all
 coherence), stroboscopic trajectories with sudden-death detection, and the
 exact multiplicative law relating the coherence of a channel output to the
 coherence of a probe state sharing the input's generalized-Bloch direction.
+The law's two channel facts, its certificate and Phi(I/d) diagonal, are kept
+on the channel, so a repeated call only checks and transforms its state.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _coherent_rows, apply
+from .channels import KrausChannel, QubitAffine, _apply, _coherent_rows, apply
 from .classifiers import DEFAULT_TOL, _given_or_canonical, is_incoherent_kraus
-from .coherence import c_l1, is_incoherent_state
+from .coherence import _l1, c_l1
 from .errors import HypothesisViolatedError, IncoherentInputError, NotIncoherentChannelError
-from .linalg import _require_array, _require_int, _require_shape, _require_tol
+from .linalg import _require_array, _require_int, _require_shape, _require_tol, require_finite
 
 DEFAULT_INDEX_CAP = 64
 DEFAULT_SUDDEN_DEATH_TOL = 1e-9
@@ -51,13 +53,20 @@ def certify_incoherent(channel: KrausChannel, tol: float = DEFAULT_TOL) -> str:
     with the pattern witnesses of the given and the canonical set. tol must be
     finite and > 0 (ParameterOutOfRangeError otherwise)."""
     tol = _require_tol(tol)
-    decomposition, witnesses = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
+    decomposition, witnesses = _incoherent_ladder(channel, tol)
     if decomposition is None:
         raise NotIncoherentChannelError(
             "no incoherent Kraus pattern found "
             f"(given: {witnesses['given']}, canonical: {witnesses['canonical']})"
         )
     return decomposition
+
+
+def _incoherent_ladder(channel: KrausChannel, tol: float):
+    """The incoherent-Kraus ladder via CBC, run once per channel and tol: the channel keeps it."""
+    if tol not in channel._ladder:
+        channel._ladder[tol] = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
+    return channel._ladder[tol]
 
 
 def _first_breaking_power(t: np.ndarray, rows, cap: int, tol: float) -> IndexResult:
@@ -160,18 +169,22 @@ def probe_state(state: np.ndarray) -> ProbeState:
     IncoherentInputError when the source has no traceless component or no
     off-diagonal component (c_l1(rho_0) would divide by zero).
     """
-    h = _require_array(state, None, "state")
-    d = len(h)
+    return _probe(_require_array(state, None, "state"))
+
+
+def _probe(h: np.ndarray) -> ProbeState:
+    """`probe_state` of a checked square complex state."""
+    d, eye = len(h), np.eye(len(h))
     h = (h + h.conj().T) / 2
-    rho_0 = h - np.trace(h).real / d * np.eye(d)
+    rho_0 = h - h.trace().real / d * eye
     norm = float(np.linalg.norm(rho_0))
     if norm == 0.0:
         raise IncoherentInputError("maximally mixed input has no direction")
-    coherence = c_l1(rho_0)
+    coherence = _l1(np.abs(rho_0))
     if coherence <= 0.0:
         raise IncoherentInputError("input has no off-diagonal direction component")
     chi_p = 2.0**0.5 * norm / coherence
-    return ProbeState(state=np.eye(d) / d + rho_0 / coherence, chi_p=chi_p)
+    return ProbeState(state=eye / d + rho_0 / coherence, chi_p=chi_p)
 
 
 class FactorizationResult(NamedTuple):
@@ -191,23 +204,28 @@ def factorization_check(
     The law needs Phi(I/d) diagonal, which every incoherent channel
     satisfies; the result records whether the stronger Kraus-pattern
     certificate held or only the diagonal-fixed-point hypothesis. tol must
-    be finite and > 0.
+    be finite and > 0. The channel keeps both facts: the certificate per tol
+    and Phi(I/d)'s largest off-diagonal magnitude. Checked in order: tol, the
+    state's shape, the hypothesis, then a non-finite or incoherent input.
     """
     tol = _require_tol(tol)
     state = _require_shape(state, (channel.dim, channel.dim), "state")
-    decomposition, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
+    decomposition, _ = _incoherent_ladder(channel, tol)
     certification = "incoherent-kraus" if decomposition else "diagonal-fixed-point"
-    mixed_image = apply(channel, np.eye(channel.dim, dtype=complex) / channel.dim)
-    if not is_incoherent_state(mixed_image, tol):
+    image_coherence, image_residual = channel._mixed_image
+    if image_residual > tol:
         raise HypothesisViolatedError(
             "channel does not map the maximally mixed state to a diagonal state "
-            f"(residual {c_l1(mixed_image):.3e})"
+            f"(residual {image_coherence:.3e})"
         )
-    if is_incoherent_state(state, tol):
+    require_finite(state, "rho")
+    mags = np.abs(state)
+    coherence = _l1(mags)  # c_l1(state); mags keeps the off-diagonal magnitudes
+    if mags.max() <= tol:
         raise IncoherentInputError("factorization needs a coherent input state")
-    probe = probe_state(state)
-    lhs = c_l1(apply(channel, state))
-    rhs = c_l1(state) * c_l1(apply(channel, probe.state))
+    outputs = _apply(channel.kraus_ops[:, None], np.array([state, _probe(state).state]))
+    lhs, probe_image = _l1(np.abs(outputs)).tolist()
+    rhs = coherence * probe_image
     return FactorizationResult(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), certification=certification
     )

@@ -77,6 +77,22 @@ def test_construction_rejects_incomplete_kraus():
         make_channel([])
 
 
+def test_diagonal_stack_completeness_is_checked_on_its_diagonals():
+    # Off by 2e-9 in one diagonal entry: over TOL_CPTP, with no off-diagonal entry to see.
+    off = np.diag([np.sqrt(1.0 + 2e-9), 1.0, 1.0]).astype(complex)
+    with pytest.raises(NotTracePreservingError, match="deviates from identity by 2.000e-09"):
+        make_channel([off])
+    within = make_channel([np.diag([np.sqrt(1.0 + 5e-10), 1.0, 1.0])])
+    assert within.kraus_diagonals is not None
+
+
+def test_non_diagonal_stack_takes_the_full_completeness_check():
+    # sum_n |K_n,ii|^2 is 1 for each i, yet sum K^dag K has 0.01 in its (1, 1) entry.
+    ops = [np.eye(2), np.array([[0.0, 0.1], [0.0, 0.0]])]
+    with pytest.raises(NotTracePreservingError, match="deviates from identity by 1.000e-02"):
+        make_channel(ops)
+
+
 def test_apply_identity():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(3, rng)
@@ -642,6 +658,20 @@ def test_malformed_sparse_channel_is_a_value_error(obj):
 def test_sparse_channel_must_be_trace_preserving():
     with pytest.raises(NotTracePreservingError):
         channel_from_json({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0]], [[1, 1, 0.5, 0.0]]]})
+
+
+def test_sparse_parse_keeps_one_copy_of_the_stack():
+    # The parser hands its dense stack to the channel: no second (n_ops, d, d) copy.
+    obj = channel_to_json(partial_dephasing_channel(64, 0.5))
+    tracemalloc.start()
+    try:
+        channel = channel_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * channel.kraus_ops.nbytes, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+    assert not channel.kraus_ops.flags.writeable
+    assert np.array_equal(channel.kraus_ops, partial_dephasing_channel(64, 0.5).kraus_ops)
 
 
 def test_sparse_dim_without_entries_is_rejected_before_allocating():

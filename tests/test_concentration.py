@@ -182,6 +182,30 @@ def test_apply_batch_rejects_a_non_finite_batch():
         apply_batch(gad_channel(0.7, 0.3), np.full((3, 2, 2), np.nan))
 
 
+def test_single_factor_apply_batch_builds_no_transfer():
+    # The d^4 transfer of a d = 48 factor alone is 81 MiB; its Kraus stack is 1.7 MiB.
+    channel = partial_dephasing_channel(48, 0.5)
+    rho = random_density_matrix(48, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        out = apply_batch(channel, rho[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+    assert "transfer" not in vars(channel)
+    assert np.abs(out[0] - apply(channel, rho)).max() < 1e-12
+
+
+def test_single_factor_apply_batch_chunks_match_apply(monkeypatch):
+    channel = random_channel(3, 2, np.random.default_rng(9))
+    rhos = np.stack([random_density_matrix(3, np.random.default_rng(s)) for s in range(7)])
+    monkeypatch.setattr(concentration, "_CHUNK_BYTES", 3 * 32 * channel.kraus_ops.size)
+    out = apply_batch(channel, rhos)  # chunks of 3, 3 and 1 states
+    assert np.abs(out - np.stack([apply(channel, rho) for rho in rhos])).max() < 1e-12
+    assert apply_batch(channel, rhos[:0]).shape == (0, 3, 3)
+
+
 def test_experiment_report_invariants():
     report = run_concentration_experiment(
         identity_channel(8), d=8, samples=2000, epsilons=[0.05, 0.2, 0.5], seed=7

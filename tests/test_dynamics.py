@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohbreak import channels, dynamics
 from cohbreak.channels import (
     QubitAffine,
     affine_from_kraus,
@@ -22,7 +23,8 @@ from cohbreak.channels import (
     unitary_channel,
     y_to_x_channel,
 )
-from cohbreak.classifiers import is_cbc, is_cbc_affine
+from cohbreak.classifiers import (_given_or_canonical, is_cbc, is_cbc_affine,
+                                  is_incoherent_kraus)
 from cohbreak.coherence import c_l1
 from cohbreak.dynamics import (
     certify_incoherent,
@@ -53,6 +55,7 @@ from conftest import (
     rotated_dephasing_channel,
     second_example_affine,
 )
+from test_classifiers import SOUNDNESS_KINDS
 
 FIG2_STATE = from_bloch(np.array([0.3, 0.5, 0.2]))
 
@@ -317,17 +320,35 @@ def test_factorization_holds_under_weak_hypothesis():
     assert result.residual < 1e-10
 
 
-def test_factorization_rejects_bad_inputs():
-    plus_prep = make_channel([
+def plus_prep():
+    """Prepares |+><+| whatever the input: Phi(I/2) is not diagonal."""
+    return make_channel([
         np.array([[1.0, 0.0], [1.0, 0.0]]) / np.sqrt(2.0),
         np.array([[0.0, 1.0], [0.0, 1.0]]) / np.sqrt(2.0),
     ])
+
+
+def test_factorization_rejects_bad_inputs():
     with pytest.raises(HypothesisViolatedError):
-        factorization_check(FIG2_STATE, plus_prep)
+        factorization_check(FIG2_STATE, plus_prep())
     with pytest.raises(IncoherentInputError):
         factorization_check(np.diag([0.3, 0.7]).astype(complex), dephasing_channel(2))
     with pytest.raises(DimensionMismatchError):
         factorization_check(np.eye(3) / 3, dephasing_channel(2))
+
+
+def test_factorization_error_precedence():
+    # tol, the state's shape, the hypothesis, then a non-finite or incoherent input.
+    nan_state = FIG2_STATE.copy()
+    nan_state[0, 1] = np.nan
+    with pytest.raises(ParameterOutOfRangeError):
+        factorization_check(np.full((3, 3), np.nan), plus_prep(), tol=0.0)
+    with pytest.raises(DimensionMismatchError):
+        factorization_check(np.full((3, 3), np.nan), plus_prep())
+    with pytest.raises(HypothesisViolatedError, match=r"residual 1\.000e\+00"):
+        factorization_check(nan_state, plus_prep())
+    with pytest.raises(NonFiniteError, match="rho has a NaN or infinite entry"):
+        factorization_check(np.diag([np.nan, 1.0]), dephasing_channel(2))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
@@ -369,6 +390,64 @@ def test_factorization_law_holds_for_incoherent_channels(d, seed):
     result = factorization_check(rho, channel)
     assert result.certification == "incoherent-kraus"
     assert result.residual < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(SOUNDNESS_KINDS)), d=st.integers(2, 4),
+       tols=st.lists(st.floats(1e-12, 1e-2), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_kept_certification_is_the_ladder_label(kind, d, tols, seed):
+    # Each tol reads the ladder's label once; later calls at that tol read it off the channel.
+    rng = np.random.default_rng(seed)
+    channel = SOUNDNESS_KINDS[kind](d, rng)
+    rho = random_density_matrix(d, rng)
+    for tol in tols + tols[::-1]:
+        expected, _ = _given_or_canonical(is_incoherent_kraus, channel, tol, cbc=True)
+        try:
+            assert certify_incoherent(channel, tol) == expected
+        except NotIncoherentChannelError:
+            assert expected is None
+        try:
+            label = factorization_check(rho, channel, tol).certification
+        except (HypothesisViolatedError, IncoherentInputError):
+            continue
+        assert label == ("incoherent-kraus" if expected else "diagonal-fixed-point")
+
+
+def test_channel_facts_are_computed_once_per_channel(monkeypatch):
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "is_incoherent_kraus",
+                        counted("ladder", dynamics.is_incoherent_kraus))
+    monkeypatch.setattr(channels, "apply", counted("mixed image", channels.apply))
+    rng = np.random.default_rng(12)
+    channel, rho = random_incoherent_channel(3, rng), random_density_matrix(3, rng)
+    first = factorization_check(rho, channel)
+    assert calls == ["ladder", "mixed image"]
+    assert factorization_check(rho, channel) == first
+    assert certify_incoherent(channel) == "given"
+    assert calls == ["ladder", "mixed image"]
+    factorization_check(rho, channel, tol=1e-6)  # a new tol runs the ladder, not Phi(I/d)
+    assert calls == ["ladder", "mixed image", "ladder"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_factorization_sides_are_the_public_values_exactly(d):
+    rng = np.random.default_rng(90 + d)
+    maps = [random_incoherent_channel(d, rng) for _ in range(4)]
+    states = [random_density_matrix(d, rng) for _ in range(4)]
+    for channel in maps:
+        for rho in states:
+            result = factorization_check(rho, channel)
+            assert result.lhs == c_l1(apply(channel, rho))
+            assert result.rhs == c_l1(rho) * c_l1(apply(channel, probe_state(rho).state))
+            assert result.residual == abs(result.lhs - result.rhs)
 
 
 def test_strobe_factorization_along_trajectory():
