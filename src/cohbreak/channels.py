@@ -47,6 +47,8 @@ from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
 RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
+# Bytes a work array may hold: a chunk of states, or the T that `evolve` steps with.
+_CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,12 @@ class KrausChannel:
         object.__setattr__(self, "kraus_diagonals", diag if diagonal else None)
         if diagonal:  # sum K^dag K is diagonal, with entries sum_n |K_n,ii|^2
             defect = float(np.abs((np.abs(diag) ** 2).sum(axis=0) - 1.0).max())
-        else:
-            flat = stack.reshape(-1, self.dim)  # rows of every K_n, stacked
-            defect = float(np.abs(flat.conj().T @ flat - np.eye(self.dim)).max())
+        else:  # the rows of every K_n, in slices of 64 KiB or one K_n: no conjugate stack copy
+            flat, step = stack.reshape(-1, self.dim), max(self.dim, 2**12 // self.dim)
+            gram = flat[:step].conj().T @ flat[:step]
+            for i in range(step, len(flat), step):
+                gram += flat[i:i + step].conj().T @ flat[i:i + step]
+            defect = float(np.abs(gram - np.eye(self.dim)).max())
         if defect > TOL_CPTP:
             raise NotTracePreservingError(
                 f"sum K^dag K deviates from identity by {defect:.3e} (> {TOL_CPTP:.0e})"
@@ -545,6 +550,21 @@ def _sparse_kraus(d: int, ops) -> np.ndarray:
     return stack
 
 
+def _dense_kraus(ops) -> np.ndarray:
+    """(n_ops, d, d) Kraus array from the dense form, each operator parsed straight into it.
+    Ops that make no such stack go to `make_channel`, which raises their first fault."""
+    ops, stack = list(ops), None
+    for n, op in enumerate(ops):
+        k = complex_matrix_from_json(op)
+        if n == 0 and k.ndim == 2 and k.shape[0] == k.shape[1] > 0:
+            stack = np.empty((len(ops), *k.shape), dtype=complex)
+        if stack is None or k.shape != stack.shape[1:]:
+            return make_channel([complex_matrix_from_json(op) for op in ops]).kraus_ops
+        stack[n] = k
+        del k  # the next operator is parsed beside the stack alone
+    return make_channel([]).kraus_ops if stack is None else stack
+
+
 @json_parser
 def channel_from_json(obj: dict) -> KrausChannel:
     """Parse the JSON channel format, dispatching on the single form key."""
@@ -556,16 +576,13 @@ def channel_from_json(obj: dict) -> KrausChannel:
             f'channel JSON needs exactly one of {_CHANNEL_KEYS}, found {present or "none"}'
         )
     key = present[0]
-    if key == "sparse":
-        d = _wire_dim(obj)
-        if d is None:
+    if key in ("sparse", "kraus"):  # the parser's own stack, held uncopied
+        if key == "sparse" and _wire_dim(obj) is None:
             raise ValueError('the sparse form needs "dim"')
-        channel = object.__new__(KrausChannel)  # holds the parser's own stack, uncopied
-        channel._hold(_sparse_kraus(d, obj["sparse"]))
-        return channel
-    if key == "kraus":
-        channel = make_channel([complex_matrix_from_json(k) for k in obj["kraus"]])
-        _wire_dim(obj, channel.dim)
+        stack = _sparse_kraus(obj["dim"], obj[key]) if key == "sparse" else _dense_kraus(obj[key])
+        channel = object.__new__(KrausChannel)
+        channel._hold(stack)
+        _wire_dim(obj, channel.dim)  # the dense form's "dim" is checked after its channel
         return channel
     if key == "affine":
         m, n = (np.asarray(v, dtype=float) for v in _json_numbers(obj[key], ("m", "n"), key))

@@ -26,15 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, _apply
+from .channels import _CHUNK_BYTES, KrausChannel, _apply
 from .coherence import c_l1
 from .errors import InvalidDimensionError, ParameterOutOfRangeError
 from .linalg import _require_array, _require_int, _require_real
 from .states import _rng, haar_random_kets
 
 DEFAULT_SAMPLES = 10_000
-# Bytes a chunk holds at once; `_by_chunk` counts a ket's share.
-_CHUNK_BYTES = 32 * 2**20
 # Bytes a `_product_blocks` block holds at once, sized to one core's L2 cache.
 _BLOCK_BYTES = 4 * 2**20
 

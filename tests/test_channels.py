@@ -674,6 +674,23 @@ def test_sparse_parse_keeps_one_copy_of_the_stack():
     assert np.array_equal(channel.kraus_ops, partial_dephasing_channel(64, 0.5).kraus_ops)
 
 
+def test_dense_parse_keeps_one_copy_of_the_stack():
+    # Each dense operator is parsed into the stack the channel holds, and the completeness
+    # check of a non-diagonal stack makes no conjugate copy of the whole of it.
+    source = random_channel(64, 8, np.random.default_rng(4))
+    obj = channel_to_json(source)
+    assert "kraus" in obj
+    tracemalloc.start()
+    try:
+        channel = channel_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * channel.kraus_ops.nbytes, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+    assert not channel.kraus_ops.flags.writeable
+    assert np.array_equal(channel.kraus_ops, source.kraus_ops)
+
+
 def test_sparse_dim_without_entries_is_rejected_before_allocating():
     with pytest.raises(ValueError, match="column 0 has no entry"):
         channel_from_json({"dim": 10**12, "sparse": [[]] * 1000})

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from cohbreak.channels import (
     cbc_from_povm,
     dephasing_channel,
     gad_channel,
+    haar_unitary,
     iterate,
     make_channel,
     partial_dephasing_channel,
+    random_channel,
     random_incoherent_channel,
     random_povm,
     unitary_channel,
@@ -488,3 +491,63 @@ def test_index_residuals_match_is_cbc_of_powers(d):
         for n, residual in enumerate(result.residuals, start=1):
             _, witness = is_cbc(iterate(channel, n))
             assert abs(residual - witness["residual"]) < 1e-9
+
+
+def evolve_cases():
+    """Channels at d = 2..6 for `evolve`: most step on the transfer matrix, and random
+    channels of Kraus rank 1, and of rank 3 at d = 6, on the Kraus operators."""
+    rng = np.random.default_rng(31)
+    cases = [gad_channel(0.6, 0.3), gad_channel(0.9, 0.8)]
+    for d in range(2, 7):
+        cases += [random_incoherent_channel(d, rng), random_incoherent_channel(d, rng),
+                  random_channel(d, 1, rng), random_channel(d, 3, rng),
+                  partial_dephasing_channel(d, 0.4)]
+    return [(channel, random_density_matrix(channel.dim, rng)) for channel in cases]
+
+
+def test_evolve_values_are_the_kraus_recurrence():
+    # Whichever product evolve steps with, every value is c_l1(apply(Phi, .)^j rho) to
+    # within 1e-12, and no value lies within 1e-9 of tol, so the death steps are equal.
+    tol, steps, paths, deaths = 1e-3, 12, set(), 0
+    for channel, rho in evolve_cases():
+        expected, state = [c_l1(rho)], rho
+        for _ in range(steps):
+            state = apply(channel, state)
+            expected.append(c_l1(state))
+        expected = np.array(expected)
+        assert np.abs(expected - tol).min() > 1e-9
+        trajectory = evolve(rho, channel, steps, tol)
+        assert np.abs(trajectory.values() - expected).max() < 1e-12
+        death = next((j for j, c in enumerate(expected) if c <= tol), None)
+        assert trajectory.sudden_death_step == death
+        paths.add("transfer" in channel.__dict__)
+        deaths += death is not None
+    assert paths == {True, False} and deaths > 0  # both products, and some deaths, ran
+
+
+@pytest.mark.parametrize("channel", [
+    unitary_channel(haar_unitary(8, np.random.default_rng(3))),  # d >= 2 n_ops
+    partial_dephasing_channel(64, 0.5),  # 16 d^4 bytes > the budget
+], ids=["unitary-d8", "partial-dephasing-d64"])
+def test_evolve_builds_no_transfer_where_kraus_steps_are_chosen(channel):
+    rho = np.full((channel.dim, channel.dim), 1.0 / channel.dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        trajectory = evolve(rho, channel, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "transfer" not in channel.__dict__
+    assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+    assert trajectory.sudden_death_step is None
+
+
+def test_evolve_builds_the_transfer_matrix_once(monkeypatch):
+    calls, build = [], channels.transfer_matrix
+    monkeypatch.setattr(channels, "transfer_matrix", lambda ch: calls.append(ch.dim) or build(ch))
+    rng = np.random.default_rng(8)
+    channel, rho = random_incoherent_channel(3, rng), random_density_matrix(3, rng)
+    assert 3 < 2 * channel.n_ops
+    first = evolve(rho, channel, steps=5)
+    assert evolve(rho, channel, steps=5) == first
+    assert calls == [3]
