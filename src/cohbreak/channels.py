@@ -42,8 +42,8 @@ from .errors import (
 )
 from .linalg import (PAULIS, TOL_HERM, TOL_PSD, _require_array, _require_int, _require_real,
                      _require_shape, hermiticity_defect, partial_trace, require_finite)
-from .states import (_json_numbers, _wire_dim, complex_matrix_from_json, complex_matrix_to_json,
-                     json_parser)
+from .states import (_json_numbers, _wire_dim, _wire_form, complex_matrix_from_json,
+                     complex_matrix_to_json, json_parser)
 
 TOL_CPTP = 1e-9      # max-abs deviation of sum K^dag K from the identity
 RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
@@ -51,7 +51,7 @@ RANK_CUTOFF = 1e-10  # Choi eigenvalues below this are treated as zero
 _CHUNK_BYTES = 32 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map given by Kraus operators; validated at construction.
 
@@ -64,7 +64,7 @@ class KrausChannel:
 
     dim: int
     kraus_ops: np.ndarray
-    kraus_diagonals: np.ndarray | None = field(init=False, repr=False, compare=False)
+    kraus_diagonals: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = list(self.kraus_ops)
@@ -139,7 +139,7 @@ def make_channel(kraus_ops, dim: int | None = None) -> KrausChannel:
     return KrausChannel(dim=dim, kraus_ops=ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi state of a channel: PSD with Tr_out rho_Phi = I/d."""
 
@@ -163,7 +163,7 @@ class ChoiMatrix:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitAffine:
     """Bloch-ball action r -> m @ r + shift of a qubit channel; m and shift are real.
 
@@ -568,14 +568,7 @@ def _dense_kraus(ops) -> np.ndarray:
 @json_parser
 def channel_from_json(obj: dict) -> KrausChannel:
     """Parse the JSON channel format, dispatching on the single form key."""
-    if not isinstance(obj, dict):
-        raise ValueError("channel JSON must be an object")
-    present = [k for k in _CHANNEL_KEYS if k in obj]
-    if len(present) != 1:
-        raise ValueError(
-            f'channel JSON needs exactly one of {_CHANNEL_KEYS}, found {present or "none"}'
-        )
-    key = present[0]
+    key = _wire_form(obj, _CHANNEL_KEYS, "channel")
     if key in ("sparse", "kraus"):  # the parser's own stack, held uncopied
         if key == "sparse" and _wire_dim(obj) is None:
             raise ValueError('the sparse form needs "dim"')
@@ -588,6 +581,6 @@ def channel_from_json(obj: dict) -> KrausChannel:
         m, n = (np.asarray(v, dtype=float) for v in _json_numbers(obj[key], ("m", "n"), key))
         return affine_to_kraus(QubitAffine(m=m, shift=n))
     if key == "gad":
-        return gad_channel(*map(float, _json_numbers(obj[key], ("p", "t"), key)))
+        return gad_channel(*_json_numbers(obj[key], ("p", "t"), key))
     effects = [complex_matrix_from_json(f) for f in obj["povm"]]
     return cbc_from_povm(effects)

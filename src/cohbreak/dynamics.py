@@ -145,7 +145,7 @@ def evolve(state: np.ndarray, channel: KrausChannel, steps: int,
                                tolerance=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeState:
     """Unit-coherence companion of a state along its traceless direction.
 

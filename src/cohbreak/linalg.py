@@ -203,7 +203,7 @@ def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
     return np.einsum("ikjk->ij" if keep == 0 else "kikj->ij", mat.reshape(d, d, d, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Ordered traceless Hermitian generators of su(d), Tr[L_i L_j] = 2 delta_ij.
 

@@ -71,7 +71,7 @@ def haar_random_pure(d: int, seed: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedBloch:
     """Coordinates x_i = Tr[rho L_i] in a HermitianBasis.
 
@@ -140,6 +140,16 @@ def _wire_dim(obj: dict, size: int | None = None) -> int | None:
     return d
 
 
+def _wire_form(obj: dict, keys: tuple[str, ...], name: str) -> str:
+    """The one key of `keys` that `obj`, a JSON `name` object, holds."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} JSON must be an object")
+    present = [k for k in keys if k in obj]
+    if len(present) != 1:
+        raise ValueError(f'{name} JSON needs exactly one of {keys}, found {present or "none"}')
+    return present[0]
+
+
 def _json_numbers(form: dict, keys: tuple[str, ...], name: str) -> list:
     """The `keys` entries of `form`, a JSON `name` object: numbers or lists of numbers
     but no string, since float() reads "0.5" where complex(re, im) refuses it."""
@@ -167,12 +177,9 @@ def state_to_json(rho: np.ndarray) -> dict:
 @json_parser
 def state_from_json(obj: dict) -> np.ndarray:
     """Parse the JSON state format; validates the result is a density matrix."""
-    if not isinstance(obj, dict):
-        raise ValueError("state JSON must be an object")
-    if "bloch" in obj:
+    if _wire_form(obj, ("matrix", "bloch"), "state") == "bloch":
+        _wire_dim(obj, 2)
         return from_bloch(np.asarray(_json_numbers(obj, ("bloch",), "state")[0], dtype=float))
-    if "matrix" not in obj:
-        raise ValueError('state JSON needs a "matrix" or "bloch" key')
     rho = complex_matrix_from_json(obj["matrix"])
     _wire_dim(obj, len(rho))
     try:

@@ -37,6 +37,7 @@ from cohbreak.channels import (
     y_to_x_channel,
 )
 from cohbreak.coherence import c_l1, is_incoherent_state
+from cohbreak.dynamics import probe_state
 from cohbreak.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -45,10 +46,12 @@ from cohbreak.errors import (
     NotTracePreservingError,
     ParameterOutOfRangeError,
 )
+from cohbreak.linalg import generalized_gell_mann
 from cohbreak.states import (
     bloch_vector,
     from_bloch,
     maximally_coherent,
+    to_generalized_bloch,
 )
 from conftest import (BAD_DIMS, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
                       random_density_matrix)
@@ -91,6 +94,26 @@ def test_non_diagonal_stack_takes_the_full_completeness_check():
     ops = [np.eye(2), np.array([[0.0, 0.1], [0.0, 0.0]])]
     with pytest.raises(NotTracePreservingError, match="deviates from identity by 1.000e-02"):
         make_channel(ops)
+
+
+PLUS = np.full((2, 2), 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity_channel(2),
+    lambda: kraus_to_choi(identity_channel(2)),
+    lambda: QubitAffine(m=np.eye(3), shift=np.zeros(3)),
+    lambda: generalized_gell_mann(2),
+    lambda: to_generalized_bloch(PLUS, generalized_gell_mann(2)),
+    lambda: probe_state(PLUS),
+], ids=["KrausChannel", "ChoiMatrix", "QubitAffine", "HermitianBasis", "GeneralizedBloch",
+        "ProbeState"])
+def test_array_holding_objects_compare_and_hash_by_identity(build):
+    # Field-wise == would compare arrays, whose truth value is ambiguous.
+    x, y = build(), build()
+    assert x == x and x != y
+    assert y not in [x]
+    assert hash(x) == hash(x)
 
 
 def test_apply_identity():
@@ -576,12 +599,13 @@ def test_channel_json_dispatch_errors():
     {"kraus": [[[[10**400, 0.0]]]]},
     {"gad": {"p": None, "t": 0.5}},
     {"gad": {"p": 10**400, "t": 0.5}},
+    {"gad": {"p": True, "t": 0.5}},
     {"gad": 3},
     {"povm": [[[[1.0, None]]]]},
     *({**dense_channel_json(dephasing_channel(2)), "dim": dim} for dim in BAD_DIMS.values()),
     *STRING_NUMBERS.values(),
 ], ids=["dim-null", "dim-infinity", "kraus-int", "entry-overflow", "gad-p-null",
-        "gad-p-overflow", "gad-int", "povm-entry-null", *BAD_DIMS, *STRING_NUMBERS])
+        "gad-p-overflow", "gad-p-true", "gad-int", "povm-entry-null", *BAD_DIMS, *STRING_NUMBERS])
 def test_channel_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         channel_from_json(obj)
@@ -775,6 +799,9 @@ SPARSE_MESSAGES = {
     "first-of-two-repeats": ({"dim": 2, "sparse": [[[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0],
                                                     [1, 1, 1.0, 0.0], [0, 0, 1.0, 0.0]]]},
                              "operator 0: entry (1, 1) appears twice"),
+    "repeat-before-later-index": ({"dim": 2, "sparse": [[[0, 0, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0]],
+                                                        [[5, 1, 1, 0]]]},
+                                  "operator 0: entry (1, 1) appears twice"),
     "shape-before-index": ({"dim": 2, "sparse": [[[0, 0, 1.0]], [[9, 9, 1.0, 0.0]]]},
                            "operator 0: entry [0, 0, 1.0] is not [i, j, re, im]"),
     "index-before-missing-column": ({"dim": 4, "sparse": [[[0, 0, 1.0, 0.0], [0, -1, 1.0, 0.0]]]},

@@ -267,17 +267,25 @@ def test_canonical_set_is_extracted_once_per_channel(monkeypatch):
     assert calls == [2]
 
 
-@pytest.mark.parametrize("build", [
-    lambda rng: random_incoherent_channel(12, rng),
-    lambda rng: random_channel(3, 2, rng),
-], ids=["incoherent-d12", "random-d3"])
-def test_classify_refutes_without_extracting(monkeypatch, build):
-    # Neither channel is CBC, so SCBC fails on the given set; the failing CBC
-    # test refutes it without the canonical set.
+# The Hadamard affine pair is the channel of the Hadamard unitary: not MIO, since it
+# sends |0><0| to |+><+|.
+HADAMARD_AFFINE = QubitAffine(m=np.array([[0.0, 0, 1], [0, -1, 0], [1, 0, 0]]), shift=np.zeros(3))
+
+
+@pytest.mark.parametrize("build, incoherent", [
+    (lambda rng: random_incoherent_channel(12, rng), "yes"),
+    (lambda rng: random_channel(3, 2, rng), "no"),
+    (lambda rng: affine_to_kraus(HADAMARD_AFFINE), "no"),
+], ids=["incoherent-d12", "random-d3", "hadamard-affine"])
+def test_classify_refutes_without_extracting(monkeypatch, build, incoherent):
+    # No channel is CBC, so SCBC fails on the given set; the failing CBC
+    # test refutes it without the canonical set, as the MIO test refutes
+    # "incoherent" for a channel that is not incoherent.
     channel = build(np.random.default_rng(7))
     calls = count_extractions(monkeypatch)
     report = classify(channel)
     assert report.verdicts["cbc"] == "no" and report.verdicts["scbc"] == "no"
+    assert report.verdicts["incoherent"] == incoherent
     assert calls == []
 
 
@@ -324,15 +332,18 @@ def mixed_depolarizing_channel(d, rng):
     return haar_mixed(cbc_from_povm([np.eye(d) / d] * d), rng)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_mixed_depolarizing_channel_is_incoherent_with_index_one(monkeypatch, d):
-    rng = np.random.default_rng(d)
+@pytest.mark.parametrize("d, seed", [(2, 2), (3, 3), (4, 4), (3, 7)],
+                         ids=["2", "3", "4", "3-seed-7"])
+def test_mixed_depolarizing_channel_is_incoherent_with_index_one(monkeypatch, d, seed):
+    rng = np.random.default_rng(seed)
     channel = mixed_depolarizing_channel(d, rng)
     calls = count_extractions(monkeypatch)
     assert certify_incoherent(channel) == "via-cbc"
     assert coherence_breaking_index(channel).value == 1
-    assert factorization_check(random_density_matrix(d, rng), channel).certification \
-        == "incoherent-kraus"
+    rho = random_density_matrix(d, rng)
+    first = factorization_check(rho, channel)
+    assert first.certification == "incoherent-kraus"
+    assert factorization_check(rho, channel) == first  # read back off the channel
     assert calls == []
 
 
@@ -356,11 +367,14 @@ def test_index_and_factorization_law_certify_what_classify_says(kind, d, seed):
     assert (label == "incoherent-kraus") == (verdict == "yes")
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_near_tolerance_breaking_channel_classifies(d):
+@pytest.mark.parametrize("channel", [
+    *(partial_dephasing_channel(d, 6e-9) for d in (2, 3, 4)),
+    affine_to_kraus(QubitAffine(m=np.diag([6e-9, 6e-9, 1.0]), shift=np.zeros(3))),
+], ids=["2", "3", "4", "affine"])
+def test_near_tolerance_breaking_channel_classifies(channel):
     # CBC residual 6e-9 is within tol, the largest commutator (1.2e-8) is not:
     # QC is implied by CBC instead of contradicting it.
-    report = classify(partial_dephasing_channel(d, 6e-9))
+    report = classify(channel)
     assert all(report.verdicts[name] == "yes" for name in ("cbc", "scbc", "qc"))
     assert report.evidence["qc"]["implied_by"] == "cbc"
     assert "max_commutator" in report.evidence["qc"]

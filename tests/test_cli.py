@@ -132,16 +132,19 @@ def test_nan_sparse_entry_is_usage_error(files, capsys, command):
 @pytest.mark.parametrize("channel", [
     partial_dephasing_channel(3, 0.3),
     cbc_from_povm(random_povm(3, 3, np.random.default_rng(5))),
-], ids=["partial-dephasing", "povm"])
+    partial_dephasing_channel(8, 0.5),
+], ids=["partial-dephasing", "povm", "partial-dephasing-d8"])
 @pytest.mark.parametrize("argv", [
     ["classify"],
     ["index", "--format", "json"],
     ["index"],
-    ["evolve", "--state", "state3", "--steps", "3"],
-    ["concentrate", "--dim", "3", "--samples", "64", "--seed", "4", "--eps", "0.05,0.1"],
+    ["evolve", "--state", "mixed", "--steps", "3"],
+    ["concentrate", "--dim", "d", "--samples", "64", "--seed", "4", "--eps", "0.05,0.1"],
 ], ids=["classify", "index-json", "index-text", "evolve", "concentrate"])
 def test_sparse_and_dense_files_give_identical_output(files, channel, argv):
-    argv = [str(files[a]) if a in files else a for a in argv]
+    d, mixed = channel.dim, files["tmp"] / "mixed.json"
+    mixed.write_text(json.dumps(state_to_json(np.eye(d) / d)))
+    argv = [{"mixed": str(mixed), "d": str(d)}.get(a, a) for a in argv]
     outputs = []
     for obj in (channel_to_json(channel), dense_channel_json(channel)):
         path, out = files["tmp"] / "channel.json", files["tmp"] / "out.csv"
@@ -402,10 +405,15 @@ GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
     *(("--channel", obj) for obj in MALFORMED_SPARSE.values()),
     *(("--channel", obj) for obj in STRING_NUMBERS.values()),
     ("--state", BLOCH_STRING),
+    ("--channel", {"gad": {"p": True, "t": 0.5}}),
+    ("--state", {"bloch": [0.3, 0.5, 0.2], **state_to_json(np.eye(2) / 2)}),
+    ("--state", {"bloch": [0.3, 0.5, 0.2], "dim": 3}),
+    ("--state", {"bloch": [0.3, 0.5, 0.2], "dim": "x"}),
 ], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
         "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan",
         "dim-float", "dim-string", "matrix-dim-float", "matrix-dim-string",
-        *(f"sparse-{name}" for name in MALFORMED_SPARSE), *STRING_NUMBERS, "bloch-string"])
+        *(f"sparse-{name}" for name in MALFORMED_SPARSE), *STRING_NUMBERS, "bloch-string",
+        "gad-p-true", "bloch-and-matrix", "bloch-dim-3", "bloch-dim-string"])
 def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(obj))

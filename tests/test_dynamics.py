@@ -502,7 +502,9 @@ def evolve_cases():
         cases += [random_incoherent_channel(d, rng), random_incoherent_channel(d, rng),
                   random_channel(d, 1, rng), random_channel(d, 3, rng),
                   partial_dephasing_channel(d, 0.4)]
-    return [(channel, random_density_matrix(channel.dim, rng)) for channel in cases]
+    pairs = [(channel, random_density_matrix(channel.dim, rng)) for channel in cases]
+    rng = np.random.default_rng(5)  # and one d = 3 incoherent channel with its state
+    return pairs + [(random_incoherent_channel(3, rng), random_density_matrix(3, rng))]
 
 
 def test_evolve_values_are_the_kraus_recurrence():
