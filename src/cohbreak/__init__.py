@@ -70,15 +70,12 @@ from .dynamics import (
     probe_state,
 )
 from .linalg import (
-    HermitianBasis,
     generalized_gell_mann,
-    hermitian_eigendecomposition,
     partial_transpose,
     trace_distance,
     von_neumann_entropy,
 )
 from .states import (
-    GeneralizedBloch,
     from_bloch,
     from_generalized_bloch,
     haar_random_pure,

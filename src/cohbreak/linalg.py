@@ -1,15 +1,14 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Everything here is plain numpy on small complex matrices: Hermitian
-eigendecompositions, trace norms, von Neumann entropy (base-2 logs
-throughout), partial transpose/trace on a d x d bipartition, and the
-generalized Gell-Mann generator basis of su(d).
+Everything here is plain numpy on small complex matrices: the argument
+checks, density-matrix eigenvalues, trace distance, von Neumann entropy
+(base-2 logs), partial transpose/trace on a d x d bipartition, and the
+generalized Gell-Mann basis of su(d) as one read-only array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,28 +108,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    """Raise NotHermitianError if the hermiticity defect of a exceeds tol."""
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
-
-
-def hermitian_eigendecomposition(
-    a: np.ndarray, tol: float = TOL_HERM
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Raises NotHermitianError if the Hermiticity defect exceeds tol (a finite real > 0).
-    """
-    tol = _require_tol(tol)
-    a = _require_array(a, None, "matrix a")
-    _require_hermitian(a, tol)
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """||rho - sigma||_1 = sum |eig(rho - sigma)|, in [0, 2] for states.
 
@@ -141,7 +118,9 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     rho = _require_array(rho, None, "rho")
     sigma = _require_array(sigma, rho.shape, "sigma")
     diff = rho - sigma
-    _require_hermitian(diff, TOL_HERM)  # eigvalsh reads one triangle only
+    defect = hermiticity_defect(diff)  # eigvalsh reads one triangle only
+    if defect > TOL_HERM:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {TOL_HERM:.3e}")
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
@@ -166,11 +145,6 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     if w.min() < -TOL_PSD:
         raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
     return np.clip(w, 0.0, None)
-
-
-def assert_density_matrix(rho: np.ndarray) -> None:
-    """Raise NotDensityMatrixError unless rho is a valid density matrix."""
-    density_eigenvalues(rho)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -203,51 +177,23 @@ def partial_trace(mat: np.ndarray, d: int, keep: int) -> np.ndarray:
     return np.einsum("ikjk->ij" if keep == 0 else "kikj->ij", mat.reshape(d, d, d, d))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianBasis:
-    """Ordered traceless Hermitian generators of su(d), Tr[L_i L_j] = 2 delta_ij.
+def generalized_gell_mann(d: int) -> np.ndarray:
+    """Generalized Gell-Mann basis of su(d): a read-only complex (d^2 - 1, d, d) array of
+    traceless Hermitian generators L_i with Tr[L_i L_j] = 2 delta_ij; d is an integer >= 2.
 
-    Ordering contract: the (d^2-d)/2 off-diagonal index pairs (j, k), j < k,
-    come first in lexicographic order, each contributing its symmetric
-    generator |j><k| + |k><j| immediately followed by its antisymmetric
-    partner -i|j><k| + i|k><j|; the d-1 diagonal generators come last.
-    """
-
-    dim: int
-    generators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.generators) != self.dim * self.dim - 1:
-            raise InvalidDimensionError(
-                f"su({self.dim}) needs {self.dim ** 2 - 1} generators, "
-                f"got {len(self.generators)}"
-            )
-
-    @property
-    def n_offdiag_pairs(self) -> int:
-        return (self.dim * self.dim - self.dim) // 2
-
-
-def generalized_gell_mann(d: int) -> HermitianBasis:
-    """Generalized Gell-Mann basis of su(d) under the ordering contract above.
-
-    d=2 yields (sigma_x, sigma_y, sigma_z); d is an integer >= 2.
+    Ordering contract: the d(d-1)/2 off-diagonal index pairs (j, k), j < k, come first in
+    lexicographic order, each contributing its symmetric generator |j><k| + |k><j|
+    immediately followed by its antisymmetric partner -i|j><k| + i|k><j|; the d-1
+    diagonal generators come last. d=2 yields (sigma_x, sigma_y, sigma_z).
     """
     d = _require_int(d, 2, "d", InvalidDimensionError)
-    gens: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = 1.0
-            sym[k, j] = 1.0
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1.0j
-            asym[k, j] = 1.0j
-            gens.append(sym)
-            gens.append(asym)
+    gens = np.zeros((d * d - 1, d, d), dtype=complex)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    for r, (j, k) in enumerate(pairs):
+        gens[2 * r, [j, k], [k, j]] = 1.0
+        gens[2 * r + 1, [j, k], [k, j]] = -1.0j, 1.0j
     for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        diag[:l, :l] = np.eye(l)
-        diag[l, l] = -l
-        gens.append(diag * np.sqrt(2.0 / (l * (l + 1))))
-    return HermitianBasis(dim=d, generators=tuple(g for g in gens))
+        scale = np.sqrt(2.0 / (l * (l + 1)))
+        gens[d * d - d + l - 1] = np.diag([scale] * l + [-l * scale] + [0.0] * (d - l - 1))
+    gens.flags.writeable = False
+    return gens

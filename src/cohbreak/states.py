@@ -1,19 +1,19 @@
 """Density-matrix construction and coordinates.
 
-Bloch and generalized-Bloch coordinates, maximally coherent phase states,
-Haar-random pure states, and the JSON wire format for states. The reference
-(incoherent) basis is always the computational basis.
+Bloch coordinates, generalized-Bloch coordinates in a `generalized_gell_mann`
+basis, maximally coherent phase states, Haar-random pure states, and the
+JSON wire format for states. The reference (incoherent) basis is always the
+computational basis.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlochOutOfBallError, InvalidDimensionError, NotDensityMatrixError
-from .linalg import PAULIS, HermitianBasis, _require_array, _require_int, assert_density_matrix
+from .linalg import PAULIS, _require_array, _require_int, _require_shape, density_eigenvalues
 
 
 def from_bloch(r: np.ndarray) -> np.ndarray:
@@ -71,38 +71,28 @@ def haar_random_pure(d: int, seed: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedBloch:
-    """Coordinates x_i = Tr[rho L_i] in a HermitianBasis.
-
-    coords = chi * unit_dir with |unit_dir| = 1; unit_dir is None when
-    chi = 0 (maximally mixed input, direction undefined).
-    """
-
-    dim: int
-    coords: np.ndarray
-    chi: float
-    unit_dir: np.ndarray | None
+def _require_basis(basis) -> np.ndarray:
+    """basis as a finite complex (d^2 - 1, d, d) array, d >= 2 read off its last axis."""
+    basis = _require_shape(basis, ..., "basis")
+    d = max(basis.shape[-1:] + (2,))
+    return _require_array(basis, (d * d - 1, d, d), "basis")
 
 
-def to_generalized_bloch(rho: np.ndarray, basis: HermitianBasis) -> GeneralizedBloch:
-    """Expand rho = I/d + (1/2) sum_i x_i L_i and split x into chi * n."""
-    d = basis.dim
+def to_generalized_bloch(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates x_i = Tr[rho L_i] in a `generalized_gell_mann` basis, so that
+    rho = I/d + (1/2) sum_i x_i L_i; |x| is the generalized Bloch length chi."""
+    basis = _require_basis(basis)
+    d = basis.shape[-1]
     rho = _require_array(rho, (d, d), "rho")
-    coords = np.array([np.trace(rho @ g).real for g in basis.generators])
-    chi = float(np.linalg.norm(coords))
-    unit = coords / chi if chi > 0.0 else None
-    return GeneralizedBloch(dim=d, coords=coords, chi=chi, unit_dir=unit)
+    return np.einsum("ijk,kj->i", basis, rho).real
 
 
-def from_generalized_bloch(coords: np.ndarray, basis: HermitianBasis) -> np.ndarray:
+def from_generalized_bloch(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Inverse of to_generalized_bloch: I/d + (1/2) sum_i x_i L_i."""
-    d = basis.dim
+    basis = _require_basis(basis)
+    d = basis.shape[-1]
     coords = _require_array(coords, (d * d - 1,), "coords", float)
-    rho = np.eye(d, dtype=complex) / d
-    for x, g in zip(coords, basis.generators):
-        rho += 0.5 * x * g
-    return rho
+    return np.eye(d, dtype=complex) / d + 0.5 * np.einsum("i,ijk->jk", coords, basis)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -183,7 +173,7 @@ def state_from_json(obj: dict) -> np.ndarray:
     rho = complex_matrix_from_json(obj["matrix"])
     _wire_dim(obj, len(rho))
     try:
-        assert_density_matrix(rho)
+        density_eigenvalues(rho)
     except NotDensityMatrixError as exc:
         raise ValueError(f'"matrix" is not a density matrix: {exc}') from exc
     return rho

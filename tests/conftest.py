@@ -114,7 +114,7 @@ def pairwise_commutator_oracle(channel: KrausChannel) -> float:
     generators and the identity, each output summed over the Kraus operators:
     the exhaustive O(d^7) quantum-classical test."""
     d = channel.dim
-    inputs = generalized_gell_mann(d).generators + (np.eye(d, dtype=complex),)
+    inputs = [*generalized_gell_mann(d), np.eye(d, dtype=complex)]
     ks = np.stack(channel.kraus_ops)
     outputs = np.stack([(ks @ x @ ks.conj().transpose(0, 2, 1)).sum(axis=0) for x in inputs])
     return max(float(np.abs(a @ outputs[k + 1:] - outputs[k + 1:] @ a).max())

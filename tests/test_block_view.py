@@ -38,7 +38,6 @@ from cohbreak.dynamics import (
     factorization_check,
 )
 from cohbreak.errors import ParameterOutOfRangeError
-from cohbreak.linalg import hermitian_eigendecomposition
 from cohbreak.states import haar_random_pure, maximally_coherent
 from conftest import HADAMARD
 
@@ -118,8 +117,6 @@ TOL_ENTRY_POINTS = {
     "factorization_check": lambda tol: factorization_check(maximally_coherent(2),
                                                            dephasing_channel(2), tol=tol),
     "is_incoherent_state": lambda tol: is_incoherent_state(np.eye(2) / 2, tol),
-    "hermitian_eigendecomposition": lambda tol: hermitian_eigendecomposition([[1, 5], [0, 1]],
-                                                                             tol),
 }
 
 

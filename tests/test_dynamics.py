@@ -251,9 +251,11 @@ def test_probe_has_unit_coherence_in_higher_dimensions():
 def _gell_mann_probe(state):
     """The probe built in generalized Gell-Mann coordinates: unit direction n,
     chi_P = 1 / sum_r hypot(n_2r, n_2r+1) over the off-diagonal pairs."""
-    basis = generalized_gell_mann(state.shape[0])
-    n = to_generalized_bloch(state, basis).unit_dir
-    pair_sum = sum(np.hypot(n[2 * r], n[2 * r + 1]) for r in range(basis.n_offdiag_pairs))
+    d = state.shape[0]
+    basis = generalized_gell_mann(d)
+    x = to_generalized_bloch(state, basis)
+    n = x / np.linalg.norm(x)
+    pair_sum = sum(np.hypot(n[2 * r], n[2 * r + 1]) for r in range(d * (d - 1) // 2))
     return from_generalized_bloch(n / pair_sum, basis), 1.0 / pair_sum
 
 

@@ -129,7 +129,7 @@ def test_qc_diagonal_weights_are_the_gell_mann_diagonals(d):
     if d == 1:
         assert mix.shape == (1, 1) and mix[0, 0] == 1.0
         return
-    diagonal = generalized_gell_mann(d).generators[d * d - d:] + (np.eye(d),)
+    diagonal = [*generalized_gell_mann(d)[d * d - d:], np.eye(d)]
     expected = np.stack([g.diagonal().real for g in diagonal], 1)
     assert mix.dtype == expected.dtype and mix.shape == expected.shape
     assert mix.tobytes() == expected.tobytes()

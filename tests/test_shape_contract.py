@@ -18,7 +18,6 @@ from cohbreak.errors import (DimensionMismatchError, InvalidDimensionError, NonF
 from cohbreak.linalg import (
     density_eigenvalues,
     generalized_gell_mann,
-    hermitian_eigendecomposition,
     partial_trace,
     partial_transpose,
     trace_distance,
@@ -32,6 +31,7 @@ from cohbreak.states import (
 )
 
 MIXED_3 = np.eye(3) / 3
+GM2 = generalized_gell_mann(2)
 
 # name: (call with one wrong-shaped argument, argument, given shape, expected shape)
 CASES = {
@@ -61,8 +61,10 @@ CASES = {
     "from_generalized_bloch": (lambda: from_generalized_bloch(np.zeros(8),
                                                               generalized_gell_mann(2)),
                                "coords", (8,), (3,)),
-    "hermitian_eigendecomposition": (lambda: hermitian_eigendecomposition(np.ones((2, 3))),
-                                     "matrix a", (2, 3), (2, 2)),
+    "to_generalized_bloch-basis": (lambda: to_generalized_bloch(MIXED_3, np.zeros((8, 2, 2))),
+                                   "basis", (8, 2, 2), (3, 2, 2)),
+    "from_generalized_bloch-basis": (lambda: from_generalized_bloch(np.zeros(3), GM2[0]),
+                                     "basis", (2, 2), (3, 2, 2)),
     "c_l1-rectangular": (lambda: c_l1(np.ones((2, 3))), "rho", (2, 3), (2, 2)),
     "c_l1-vector": (lambda: c_l1(np.ones(3)), "rho", (3,), (1, 1)),
     "c_l1-batch": (lambda: c_l1(np.ones((4, 2, 3))), "rho", (4, 2, 3), (4, 2, 2)),
@@ -85,7 +87,6 @@ def test_wrong_shape_names_the_argument_and_both_shapes(call, what, got, expecte
 # argument left open: (call, argument, a valid shape, flags). Flags: "r" a real argument,
 # "f" checked finite by the owner, "s" square of its own size (its size read off it),
 # "o" optional (None stands for the default).
-GM2 = generalized_gell_mann(2)
 ARGUMENTS = {
     "KrausChannel": (lambda x: KrausChannel(dim=2, kraus_ops=[x]), "Kraus operator 0", (2, 2), ""),
     "make_channel": (lambda x: make_channel([x]), "Kraus operator 0", (2, 2), "s"),
@@ -107,7 +108,10 @@ ARGUMENTS = {
     "maximally_coherent": (lambda x: maximally_coherent(2, x), "thetas", (2,), "rfo"),
     "to_generalized_bloch": (lambda x: to_generalized_bloch(x, GM2), "rho", (2, 2), "f"),
     "from_generalized_bloch": (lambda x: from_generalized_bloch(x, GM2), "coords", (3,), "rf"),
-    "hermitian_eigendecomposition": (hermitian_eigendecomposition, "matrix a", (2, 2), "fs"),
+    "to_generalized_bloch-basis": (lambda x: to_generalized_bloch(np.eye(2) / 2, x),
+                                   "basis", (3, 2, 2), "f"),
+    "from_generalized_bloch-basis": (lambda x: from_generalized_bloch(np.zeros(3), x),
+                                     "basis", (3, 2, 2), "f"),
     "is_incoherent_state": (is_incoherent_state, "rho", (2, 2), "fs"),
     "dephase": (dephase, "rho", (2, 2), "fs"),
 }

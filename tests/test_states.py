@@ -10,7 +10,7 @@ from cohbreak.errors import (
     InvalidDimensionError,
     NonFiniteError,
 )
-from cohbreak.linalg import generalized_gell_mann, hermitian_eigendecomposition, trace_distance
+from cohbreak.linalg import generalized_gell_mann, trace_distance
 from cohbreak.states import (
     bloch_vector,
     complex_matrix_from_json,
@@ -54,12 +54,15 @@ def test_from_bloch_rejects_non_finite_components(r):
 NON_FINITE_CALLS = {
     "trace_distance-rho": lambda x: trace_distance([[x, 0], [0, 1]], np.eye(2) / 2),
     "trace_distance-sigma": lambda x: trace_distance(np.eye(2) / 2, [[x, 0], [0, 1]]),
-    "hermitian_eigendecomposition": lambda x: hermitian_eigendecomposition([[x, 0], [0, 1]]),
     "to_generalized_bloch": lambda x: to_generalized_bloch(np.diag([x, 0.5, 0.5]),
                                                            generalized_gell_mann(3)),
     "maximally_coherent": lambda x: maximally_coherent(3, [0.0, x, 0.0]),
     "from_generalized_bloch": lambda x: from_generalized_bloch(np.full(8, x),
                                                                generalized_gell_mann(3)),
+    "to_generalized_bloch-basis": lambda x: to_generalized_bloch(
+        np.eye(2) / 2, np.where(generalized_gell_mann(2) == 1.0, x, generalized_gell_mann(2))),
+    "from_generalized_bloch-basis": lambda x: from_generalized_bloch(
+        np.zeros(3), np.where(generalized_gell_mann(2) == 1.0, x, generalized_gell_mann(2))),
     "is_incoherent_state-off-diagonal": lambda x: is_incoherent_state([[0.5, x], [0, 0.5]]),
     "is_incoherent_state-diagonal": lambda x: is_incoherent_state([[x, 0], [0, 0.5]]),
 }
@@ -75,16 +78,15 @@ def test_non_finite_argument_is_rejected(call, entry):
 def test_generalized_bloch_of_maximally_mixed():
     basis = generalized_gell_mann(3)
     coords = to_generalized_bloch(np.eye(3) / 3, basis)
-    assert coords.chi == 0.0
-    assert coords.unit_dir is None
-    assert np.abs(coords.coords).max() < 1e-15
+    assert np.linalg.norm(coords) == 0.0
+    assert np.abs(coords).max() < 1e-15
 
 
 def test_generalized_bloch_matches_pauli_expectations():
     basis = generalized_gell_mann(2)
     coords = to_generalized_bloch(from_bloch(np.array([0.3, 0.5, 0.2])), basis)
-    assert np.abs(coords.coords - [0.3, 0.5, 0.2]).max() < 1e-14
-    assert abs(coords.chi - np.sqrt(0.38)) < 1e-14
+    assert np.abs(coords - [0.3, 0.5, 0.2]).max() < 1e-14
+    assert abs(np.linalg.norm(coords) - np.sqrt(0.38)) < 1e-14
 
 
 def test_generalized_bloch_round_trip():
@@ -94,7 +96,21 @@ def test_generalized_bloch_round_trip():
         for _ in range(10):
             rho = random_density_matrix(d, rng)
             coords = to_generalized_bloch(rho, basis)
-            assert np.abs(from_generalized_bloch(coords.coords, basis) - rho).max() < 1e-12
+            assert np.abs(from_generalized_bloch(coords, basis) - rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_generalized_bloch_coordinates_are_the_traces_against_each_generator(d):
+    # The definition, one generator at a time: x_i = Tr[rho L_i] and
+    # rho = I/d + (1/2) sum_i x_i L_i.
+    rho = random_density_matrix(d, np.random.default_rng(40 + d))
+    basis = generalized_gell_mann(d)
+    coords = to_generalized_bloch(rho, basis)
+    expected = np.array([np.trace(rho @ g).real for g in basis])
+    assert coords.shape == (d * d - 1,) and coords.dtype == float
+    assert np.abs(coords - expected).max() < 1e-14
+    rebuilt = np.eye(d) / d + 0.5 * sum(x * g for x, g in zip(expected, basis))
+    assert np.abs(from_generalized_bloch(expected, basis) - rebuilt).max() < 1e-14
 
 
 def test_generalized_bloch_dimension_check():
@@ -128,7 +144,7 @@ def test_maximally_coherent_rejects_dimension():
 def test_maximally_coherent_saturates_chi_bound(d):
     basis = generalized_gell_mann(d)
     coords = to_generalized_bloch(maximally_coherent(d), basis)
-    assert abs(coords.chi - np.sqrt(2.0 * (d - 1) / d)) < 1e-9
+    assert abs(np.linalg.norm(coords) - np.sqrt(2.0 * (d - 1) / d)) < 1e-9
 
 
 def test_chi_never_exceeds_its_bound_on_samples():
@@ -137,10 +153,12 @@ def test_chi_never_exceeds_its_bound_on_samples():
         basis = generalized_gell_mann(d)
         for _ in range(20):
             coords = to_generalized_bloch(random_density_matrix(d, rng), basis)
-            assert coords.chi <= np.sqrt(2.0 * (d - 1) / d) + 1e-9
-            if coords.unit_dir is not None:
-                assert abs(np.linalg.norm(coords.unit_dir) - 1.0) < 1e-10
-                assert np.abs(coords.coords - coords.chi * coords.unit_dir).max() < 1e-10
+            chi = np.linalg.norm(coords)
+            assert chi <= np.sqrt(2.0 * (d - 1) / d) + 1e-9
+            if chi > 0.0:
+                unit_dir = coords / chi
+                assert abs(np.linalg.norm(unit_dir) - 1.0) < 1e-10
+                assert np.abs(coords - chi * unit_dir).max() < 1e-10
 
 
 def test_haar_random_pure_is_pure():
