@@ -27,8 +27,10 @@ product list would exceed d^2 operators, which always suffices.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -226,6 +228,11 @@ def _reshuffle(a: np.ndarray, d: int) -> np.ndarray:
     return a.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def _pt_choi(t: np.ndarray, d: int) -> np.ndarray:
+    """`partial_transpose` of the Choi matrix `_reshuffle(t, d) / d`, in one fresh array."""
+    return np.divide(t.reshape(d, d, d, d).transpose(0, 3, 1, 2), d, order="C").reshape(d * d, -1)
+
+
 def kraus_to_choi(channel: KrausChannel) -> ChoiMatrix:
     """(Phi otimes id)(|beta><beta|) = (1/d) sum_n vec(K_n) vec(K_n)^dag."""
     d = channel.dim
@@ -265,9 +272,10 @@ def _unit_image_maxima(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     read off a transfer matrix: the largest |O-row| entry of column i*d + j, and for i != j
     the largest |D-row| entry instead. Phi(|j><i|) is the adjoint of Phi(|i><j|), so both
     arrays are symmetrized: the tie is exact and the first largest unit has i <= j."""
-    mags, coherent = np.abs(t), _coherent_rows(d)
-    off = mags[coherent].max(axis=0, initial=0.0).reshape(d, d)  # O is empty at d = 1
-    on = mags[~coherent].max(axis=0).reshape(d, d)
+    mags = np.abs(t)  # the one d^4 copy; its D rows u*d + u are the rows 0, d + 1, ...
+    on = mags[::d + 1].max(axis=0).reshape(d, d)
+    mags[::d + 1] = 0.0  # |T| >= 0, so the maximum is then the O rows' (0 when O is empty)
+    off = mags.max(axis=0).reshape(d, d)
     np.fill_diagonal(on, off.diagonal())  # DIO needs Phi(|i><i|) diagonal
     maxima = np.stack([np.maximum(off, off.T), np.maximum(on, on.T)])
     maxima.flags.writeable = False
@@ -522,11 +530,44 @@ def channel_to_json(channel: KrausChannel) -> dict:
     return {"dim": d, "sparse": sparse}
 
 
+def _kraus_stack(n_ops: int, d: int) -> np.ndarray:
+    """A zero (n_ops, d, d) stack; MemoryError, before allocating, past physical memory."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 0
+    if ram and 16 * n_ops * d * d > ram:
+        raise MemoryError(f"{n_ops} Kraus operators of dimension {d} exceed physical memory")
+    return np.zeros((n_ops, d, d), dtype=complex)
+
+
+def _sparse_array(d: int, ops) -> np.ndarray | None:
+    """The stack of a valid sparse form of float values, read in one array pass; None on any
+    doubt (a fault, a value that is no float, n_ops d^2 >= 2^62) or below 32 entries, where
+    the scan is the faster reader."""
+    ok = type(ops) is list and {*map(type, ops)} <= {list} and len(ops) * d * d < 2**62
+    entries = list(chain.from_iterable(ops)) if ok else []
+    if len(entries) < 32 or {*map(type, entries)} != {list} or {*map(len, entries)} != {4}:
+        return None
+    i, j, re, im = zip(*entries)
+    if {*map(type, i + j)} != {int} or {*map(type, re + im)} != {float}:  # no bools
+        return None
+    ij = np.array([i, j])  # int64 unless an index is past it
+    if ij.dtype != np.int64 or ij.min() < 0 or ij.max() >= d or len(entries) < d:
+        return None
+    keys = (np.repeat(np.arange(len(ops)), list(map(len, ops))) * d + ij[0]) * d + ij[1]
+    if not (np.bincount(ij[1], minlength=d).all() and np.diff(np.sort(keys)).all()):
+        return None  # a column with no entry, or an entry that appears twice
+    stack = _kraus_stack(len(ops), d)
+    stack.view(float).reshape(-1, 2)[keys] = np.array([re, im]).T  # bit for bit
+    return stack
+
+
 def _sparse_kraus(d: int, ops) -> np.ndarray:
-    """Dense (n_ops, d, d) Kraus array from the sparse form. Entries are read in file
-    order, each checked for shape, then indices, then repeats, and the first fault met is
-    raised. The array is allocated only after every column has an entry (else the channel
-    cannot be trace preserving)."""
+    """Dense (n_ops, d, d) Kraus array from the sparse form: `_sparse_array`, else a scan
+    that reads entries in file order, each checked for shape, then indices, then repeats,
+    and raises the first fault met. The array is allocated only after every column has an
+    entry (else the channel cannot be trace preserving)."""
+    stack = _sparse_array(d, ops)
+    if stack is not None:
+        return stack
     if not isinstance(ops, list) or not all(isinstance(op, list) for op in ops):
         raise ValueError('"sparse" must be a list of entry lists, one per Kraus operator')
     values = {}  # (operator, i, j) -> value, in file order
@@ -545,7 +586,7 @@ def _sparse_kraus(d: int, ops) -> np.ndarray:
         missing = next(j for j in range(d) if j not in columns)
         raise ValueError(f"column {missing} has no entry, so the channel is not "
                          "trace preserving")
-    stack = np.zeros((len(ops), d, d), dtype=complex)
+    stack = _kraus_stack(len(ops), d)
     stack[tuple(zip(*values))] = list(values.values())
     return stack
 
@@ -557,7 +598,7 @@ def _dense_kraus(ops) -> np.ndarray:
     for n, op in enumerate(ops):
         k = complex_matrix_from_json(op)
         if n == 0 and k.ndim == 2 and k.shape[0] == k.shape[1] > 0:
-            stack = np.empty((len(ops), *k.shape), dtype=complex)
+            stack = _kraus_stack(len(ops), len(k))
         if stack is None or k.shape != stack.shape[1:]:
             return make_channel([complex_matrix_from_json(op) for op in ops]).kraus_ops
         stack[n] = k
@@ -582,5 +623,4 @@ def channel_from_json(obj: dict) -> KrausChannel:
         return affine_to_kraus(QubitAffine(m=m, shift=n))
     if key == "gad":
         return gad_channel(*_json_numbers(obj[key], ("p", "t"), key))
-    effects = [complex_matrix_from_json(f) for f in obj["povm"]]
-    return cbc_from_povm(effects)
+    return cbc_from_povm([complex_matrix_from_json(f) for f in obj["povm"]])

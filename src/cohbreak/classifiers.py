@@ -18,7 +18,7 @@ Classes and their decision procedures:
   the outputs are rotated into the eigenbasis of one seeded output Phi(X)
   and must come out diagonal: O(d^5), with the outputs read off columns of
   T. The O(d^7) pairwise commutator test runs only for a residual near tol.
-* entanglement breaking -- PPT test on the Choi matrix, a reshuffle of T.
+* entanglement breaking -- PPT test on the Choi matrix, read off T by one permutation.
   For qubits PPT is equivalent to separability, so the verdict is decisive;
   for d >= 3 a positive partial transpose is only necessary and the verdict
   stays "inconclusive".
@@ -39,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, QubitAffine, _reshuffle, _unit_image_maxima  # last re-exported
-from .linalg import _require_tol, partial_transpose
+from .channels import KrausChannel, QubitAffine, _pt_choi, _unit_image_maxima  # last re-exported
+from .linalg import _require_tol
 
 DEFAULT_TOL = 1e-8
 _QC_BAND = 1e3  # QC residuals within this factor of tol go to the pairwise test
@@ -56,7 +56,7 @@ def _second_largest(mags: np.ndarray, axis: int) -> np.ndarray:
     """Second-largest entry along an axis (0 where the axis has one entry)."""
     if mags.shape[axis] < 2:
         return np.zeros(np.delete(mags.shape, axis))
-    return np.take(np.sort(mags, axis=axis), -2, axis=axis)
+    return np.take(np.partition(mags, -2, axis=axis), -2, axis=axis)
 
 
 def _pattern_verdict(second: np.ndarray, tol: float, names: tuple[str, ...]):
@@ -167,7 +167,8 @@ def _qc_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _max_commutator(x: np.ndarray, outputs: np.ndarray) -> float:
     """Largest |[x, y]| entry over the matrices y = outputs[:, :, b]."""
     xy = (x @ outputs.reshape(len(x), -1)).reshape(outputs.shape)
-    return float(np.abs(xy - x.T @ outputs).max())
+    xy -= x.T @ outputs
+    return float(np.abs(xy).max())
 
 
 def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
@@ -183,9 +184,12 @@ def is_qc(channel: KrausChannel, tol: float = DEFAULT_TOL):
     tol = _require_tol(tol)
     d, t = channel.dim, channel.transfer
     pairs, mix, weights = _qc_inputs(d)
+    m, outputs = pairs.shape[1], np.empty((d * d, d * d), dtype=complex)  # [:, b] = Phi(G_b)
     above, below = t[:, pairs[0]], t[:, pairs[1]]  # Phi(|j><k|), Phi(|k><j|)
-    outputs = np.concatenate([above + below, 1j * (below - above), t[:, ::d + 1] @ mix],
-                             axis=1).reshape(d, d, d * d)  # [:, :, b] = Phi(G_b)
+    np.add(above, below, out=outputs[:, :m])
+    np.multiply(1j, np.subtract(below, above, out=below), out=outputs[:, m:2 * m])
+    outputs[:, 2 * m:] = t[:, ::d + 1] @ mix
+    outputs = outputs.reshape(d, d, d * d)
     _, v = np.linalg.eigh(outputs @ weights)
     off = np.abs(v.T @ (v.conj().T @ outputs.reshape(d, -1)).reshape(outputs.shape))
     off[np.arange(d), np.arange(d)] = 0.0
@@ -213,8 +217,7 @@ def is_entanglement_breaking(channel: KrausChannel, tol: float = DEFAULT_TOL):
     decides entanglement breaking; for d >= 3 it is only a no-certificate.
     """
     tol, d = _require_tol(tol), channel.dim
-    pt = partial_transpose(_reshuffle(channel.transfer, d), d) / d  # reshuffled T = d * Choi
-    min_eig = float(np.linalg.eigvalsh(pt).min())
+    min_eig = float(np.linalg.eigvalsh(_pt_choi(channel.transfer, d)).min())
     return ("no" if min_eig < -tol else _ppt_pass(d)), {"min_pt_eigenvalue": min_eig}
 
 

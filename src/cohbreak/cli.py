@@ -21,6 +21,7 @@ seeded explicitly so outputs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -180,7 +181,8 @@ def _load(args) -> list:
     """The channel and, for evolve, the state. A file that cannot be read or parsed, or a
     channel file whose dimension is not --dim, is a usage error whose message names it;
     running out of memory exits EXIT_DOMAIN, naming the file and its declared dimension."""
-    path, dim = args.channel, args.dim
+    path, dim, collecting = args.channel, args.dim, gc.isenabled()
+    gc.disable()  # parsed JSON holds no cycles: collecting its lists would only promote them
     try:
         if path == "identity":
             if args.dim is None:
@@ -202,6 +204,9 @@ def _load(args) -> list:
         PARSER.error(f"{path}: {exc}")
     except MemoryError:
         raise SystemExit(_out_of_memory(args, dim, f" loading {path}")) from None
+    finally:
+        if collecting:
+            gc.enable()
     return inputs
 
 
