@@ -12,17 +12,10 @@ Three interchangeable representations are supported:
 * ``QubitAffine`` -- the Bloch-ball action r -> M r + n of a qubit channel.
 
 Choi matrices, affine pairs, class tests and channel powers are all read off
-one cached d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n); the
-canonical Kraus set of the Choi eigendecomposition is cached alike. Each
-representation owns the split of its output rows into diagonal (D) and
-coherent (O) ones: `_coherent_rows` for T, ``QubitAffine.COHERENT_ROWS`` (the
-x and y rows) for the pair's transfer matrix R. The CBC and DIO residual of
-every matrix unit, read off that split of T, is cached on the channel too, as
-are the incoherence ladder's outcome per tol and Phi(I/d)'s off-diagonal
-maximum; the constructor finds an all-diagonal stack's `kraus_diagonals`.
-
-Composition goes through the Choi matrix of T_outer T_inner whenever the
-product list would exceed d^2 operators, which always suffices.
+one d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n), which `KrausChannel`
+caches with its other per-channel facts. Each representation owns the split of
+its output rows into diagonal (D) and coherent (O) ones: `_coherent_rows` for T,
+``QubitAffine.COHERENT_ROWS`` (the x and y rows) for the pair's transfer matrix R.
 """
 
 from __future__ import annotations
@@ -532,16 +525,14 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 def _kraus_stack(n_ops: int, d: int) -> np.ndarray:
     """A zero (n_ops, d, d) stack; MemoryError, before allocating, past physical memory."""
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 0
-    if ram and 16 * n_ops * d * d > ram:
+    if 16 * n_ops * d * d > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         raise MemoryError(f"{n_ops} Kraus operators of dimension {d} exceed physical memory")
     return np.zeros((n_ops, d, d), dtype=complex)
 
 
 def _sparse_array(d: int, ops) -> np.ndarray | None:
-    """The stack of a valid sparse form of float values, read in one array pass; None on any
-    doubt (a fault, a value that is no float, n_ops d^2 >= 2^62) or below 32 entries, where
-    the scan is the faster reader."""
+    """The stack of a valid sparse form of 32 or more float values (the scan is the faster
+    below), read in one array pass; None on any doubt (a fault, n_ops d^2 >= 2^62)."""
     ok = type(ops) is list and {*map(type, ops)} <= {list} and len(ops) * d * d < 2**62
     entries = list(chain.from_iterable(ops)) if ok else []
     if len(entries) < 32 or {*map(type, entries)} != {list} or {*map(len, entries)} != {4}:
@@ -561,10 +552,9 @@ def _sparse_array(d: int, ops) -> np.ndarray | None:
 
 
 def _sparse_kraus(d: int, ops) -> np.ndarray:
-    """Dense (n_ops, d, d) Kraus array from the sparse form: `_sparse_array`, else a scan
-    that reads entries in file order, each checked for shape, then indices, then repeats,
-    and raises the first fault met. The array is allocated only after every column has an
-    entry (else the channel cannot be trace preserving)."""
+    """Dense (n_ops, d, d) Kraus array from the sparse form: `_sparse_array`, else a scan in
+    file order that checks each entry's shape, then indices, then repeats, raises the first
+    fault met, and allocates once every column has an entry (else it is not trace preserving)."""
     stack = _sparse_array(d, ops)
     if stack is not None:
         return stack

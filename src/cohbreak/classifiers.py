@@ -3,25 +3,14 @@
 Classes and their decision procedures:
 
 * incoherent / SIO / SCBC -- sparsity-pattern tests on a concrete Kraus
-  decomposition, on which membership can depend, so ``classify``, the
-  breaking index and the factorization law read them down one ladder of
-  Kraus sets: given, via CBC, then the cached canonical Choi-extracted set.
-* CBC / DIO -- decomposition-independent maxima over the images of the d^2
-  matrix units |i><j| (linearity makes matrix units sufficient), the columns
-  of the transfer matrix T, split by the channel into its coherent and
-  diagonal rows. The channel caches these per-unit maxima (`unit_maxima`),
-  so it computes them at most once across `classify`, `is_cbc`, `is_dio`,
-  `is_qc` and the incoherence ladder.
-* QC -- the outputs of a Hermitian basis must commute: the measure-and-
-  prepare form with rank-one projectors in some orthonormal basis.
-  Commuting Hermitian matrices share the eigenbasis of a generic member, so
-  the outputs are rotated into the eigenbasis of one seeded output Phi(X)
-  and must come out diagonal: O(d^5), with the outputs read off columns of
-  T. The O(d^7) pairwise commutator test runs only for a residual near tol.
-* entanglement breaking -- PPT test on the Choi matrix, read off T by one permutation.
-  For qubits PPT is equivalent to separability, so the verdict is decisive;
-  for d >= 3 a positive partial transpose is only necessary and the verdict
-  stays "inconclusive".
+  decomposition, on which membership can depend, read down one ladder of
+  Kraus sets: given, via CBC, then the canonical one (`_given_or_canonical`).
+* CBC / DIO -- maxima over the images of the d^2 matrix units |i><j|
+  (linearity makes them sufficient), the columns of the transfer matrix T,
+  cached on the channel as `unit_maxima`.
+* QC -- the outputs of a Hermitian basis must commute (`is_qc`).
+* entanglement breaking -- PPT test on the Choi matrix, read off T: decisive
+  for qubits, only a no-certificate ("inconclusive" on a pass) for d >= 3.
 
 A coherence breaking channel always admits a Kraus set whose every branch
 outputs a diagonal state (take K_ik = sqrt(lambda_ik)|i><phi_ik| from the

@@ -10,12 +10,9 @@ Subcommands:
 Each run parses the flags, loads the input files, computes, and writes to
 stdout or to ``--out PATH`` (``evolve`` puts its sidecar at PATH with the
 suffix ``.json``, so PATH must not end in ``.json``). Exit codes: 0
-success, 2 usage or malformed input (an input file that cannot be read or
-parsed, or whose dimension is not --dim, is named in the message), 3
-domain error (e.g. a channel that cannot be certified incoherent, a state
-of another dimension than the channel, a numpy LinAlgError while computing,
-or running out of memory while loading or computing). All randomness is
-seeded explicitly so outputs are byte-reproducible.
+success, 2 usage or malformed input (naming the input file at fault), 3
+domain error, running out of memory included; README lists the cases. All
+randomness is seeded explicitly so outputs are byte-reproducible.
 """
 
 from __future__ import annotations

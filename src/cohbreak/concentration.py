@@ -7,16 +7,8 @@ empirical frequencies against the bounds.
 
 Channels may be passed either as a single KrausChannel or as any iterable of
 KrausChannel tensor factors (left to right). A single factor never builds its
-d^4 transfer matrix. A rank-1 channel gives
-c_l1 = (sum |w|)^2 - sum |w|^2 from w = K psi, elementwise for a diagonal K
-(the identity, diagonal unitaries). Diagonal Kraus operators D[n] = diag(K_n)
-make a Schur multiplier, Phi(rho)_ij = M_ij rho_ij with M = D^T conj(D), so
-c_l1 = |psi|^T W |psi| with W = |M| off the diagonal: one (b, d) x (d, d)
-product. Any other single factor goes through its (n_ops, d, d) `kraus_ops` in
-one GEMM, in chunks that fit `_CHUNK_BYTES`. A product runs `_product_blocks`:
-adjacent qubit legs pair up into one 16 x 16 transfer, |psi><psi| is built in
-leg-pair order, and c_l1 is read off that order with no reorder, in blocks
-sized to L2 (`_BLOCK_BYTES`) whose two reused buffers bound peak memory.
+d^4 transfer matrix; a product runs `_product_blocks`. README's "Numerical
+conventions" gives each path's formula and memory bound.
 """
 
 from __future__ import annotations
@@ -173,6 +165,8 @@ def _pure_outputs(factors: list[KrausChannel], kets: np.ndarray) -> np.ndarray:
 
 
 def _sample_output_coherences(channel, samples: int, seed: int) -> np.ndarray:
+    """c_l1 of Phi(|psi><psi|) per Haar ket: (sum |w|)^2 - sum |w|^2, w = K psi, for one K;
+    |psi|^T W |psi|, W = |D^T conj(D)| off the diagonal, for diagonal K_n; else `_by_chunk`."""
     factors, d = _normalize_factors(channel)
     kets = haar_random_kets(d, samples, _rng(seed))
     if len(factors) > 1:

@@ -4,9 +4,6 @@ Coherence breaking indices (the least power of a channel that destroys all
 coherence), stroboscopic trajectories with sudden-death detection, and the
 exact multiplicative law relating the coherence of a channel output to the
 coherence of a probe state sharing the input's generalized-Bloch direction.
-The law's two channel facts, its certificate and Phi(I/d) diagonal, are kept
-on the channel, so a repeated call only checks and transforms its state. A
-trajectory steps on the cached transfer matrix where that is cheaper and fits.
 """
 
 from __future__ import annotations

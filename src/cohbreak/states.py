@@ -155,12 +155,11 @@ def _json_numbers(form: dict, keys: tuple[str, ...], name: str) -> list:
 
 @json_parser
 def complex_matrix_from_json(data: list) -> np.ndarray:
-    """A matrix of [re, im] pairs. From 16 x 16 on, a regular nesting of bools, ints and
-    floats is one conversion of its numbers, viewed as complex; the loop reads anything else
-    (smaller, it is the faster) and words the fault of an irregular one."""
+    """A matrix of [re, im] pairs. A regular nesting of bools, ints and floats is one
+    conversion of its numbers, viewed as complex; the loop words the fault of any other."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):  # irregular: the loop
         pairs = list(chain.from_iterable(data))
-        if len(pairs) >= 256 and len({*map(len, data)}) == 1 and {*map(len, pairs)} == {2} and {
+        if len({*map(len, data)}) == 1 and {*map(len, pairs)} == {2} and {
                 *map(type, chain.from_iterable(pairs))} <= {bool, int, float}:
             flat = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
             return flat.view(complex).reshape(len(data), -1)
