@@ -276,10 +276,12 @@ def test_no_collection_runs_while_the_cli_loads_a_channel(tmp_path):
     ops = [[[k, k, 1.0 if n == 0 else 0.0, 0.0] for k in range(d)] for n in range(n_ops)]
     path = tmp_path / "many-lists.json"
     path.write_text(json.dumps({"dim": d, "sparse": ops}))
+    # Parse the flags outside the watched window: argparse allocates with the collector on.
+    args = cli.PARSER.parse_args(["classify", "--channel", str(path)])
     starts, callback = count_collections()
     gc.callbacks.append(callback)
     try:
-        channel, = cli._load(cli.PARSER.parse_args(["classify", "--channel", str(path)]))
+        channel, = cli._load(args)
     finally:
         gc.callbacks.remove(callback)
     assert starts == [] and gc.isenabled()
