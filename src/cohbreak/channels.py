@@ -13,9 +13,9 @@ Three interchangeable representations are supported:
 
 Choi matrices, affine pairs, class tests and channel powers are all read off
 one d^2 x d^2 transfer matrix T = sum_n K_n otimes conj(K_n), which `KrausChannel`
-caches with its other per-channel facts. Each representation owns the split of
-its output rows into diagonal (D) and coherent (O) ones: `_coherent_rows` for T,
-``QubitAffine.COHERENT_ROWS`` (the x and y rows) for the pair's transfer matrix R.
+caches with its other per-channel facts. Its diagonal (D) rows u*d + u (unit maxima) and
+columns i*d + i (`is_qc`) are strided views [::d + 1], `_coherent_rows` masks its coherent
+(O) rows (Kraus breaking index), and the affine pair's O rows are ``QubitAffine.COHERENT_ROWS``.
 """
 
 from __future__ import annotations
@@ -322,10 +322,7 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Complete dephasing: rho -> sum_i <i|rho|i> |i><i|, for an integer d >= 1."""
-    d = _require_int(d, 1, "d", InvalidDimensionError)
-    ops = np.zeros((d, d, d), dtype=complex)
-    ops[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    return make_channel(ops, dim=d)
+    return partial_dephasing_channel(d, 0.0)
 
 
 def partial_dephasing_channel(d: int, q: float) -> KrausChannel:
@@ -606,11 +603,12 @@ def channel_from_json(obj: dict) -> KrausChannel:
         stack = _sparse_kraus(obj["dim"], obj[key]) if key == "sparse" else _dense_kraus(obj[key])
         channel = object.__new__(KrausChannel)
         channel._hold(stack)
-        _wire_dim(obj, channel.dim)  # the dense form's "dim" is checked after its channel
-        return channel
-    if key == "affine":
+    elif key == "affine":
         m, n = (np.asarray(v, dtype=float) for v in _json_numbers(obj[key], ("m", "n"), key))
-        return affine_to_kraus(QubitAffine(m=m, shift=n))
-    if key == "gad":
-        return gad_channel(*_json_numbers(obj[key], ("p", "t"), key))
-    return cbc_from_povm([complex_matrix_from_json(f) for f in obj["povm"]])
+        channel = affine_to_kraus(QubitAffine(m=m, shift=n))
+    elif key == "gad":
+        channel = gad_channel(*_json_numbers(obj[key], ("p", "t"), key))
+    else:
+        channel = cbc_from_povm([complex_matrix_from_json(f) for f in obj["povm"]])
+    _wire_dim(obj, channel.dim)  # every form's "dim" is checked after its channel
+    return channel

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import KrausChannel, QubitAffine, _pt_choi, _unit_image_maxima  # last re-exported
-from .linalg import _require_tol
+from .linalg import _require_tol, generalized_gell_mann
 
 DEFAULT_TOL = 1e-8
 _QC_BAND = 1e3  # QC residuals within this factor of tol go to the pairwise test
@@ -147,9 +147,8 @@ def _qc_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T: the unit pairs (|j><k|, |k><j|), j < k, the diagonal units' weights in
     each diagonal input, and the seeded weights of X, which picks the basis."""
     j, k = np.triu_indices(d, 1)
-    l = np.arange(1, d)  # generator l weighs |k><k| by s_l for k < l and by -l s_l at k = l
-    mix = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * l) * np.sqrt(2.0 / (l * (l + 1)))
-    return (np.stack([j * d + k, k * d + j]), np.column_stack([mix, np.ones(d)]),
+    diagonal = generalized_gell_mann(d)[d * d - d:].diagonal(axis1=1, axis2=2).real if d > 1 else []
+    return (np.stack([j * d + k, k * d + j]), np.column_stack([*diagonal, np.ones(d)]),
             np.random.default_rng(d).normal(size=d * d))
 
 
@@ -233,11 +232,6 @@ class ClassificationReport:
         evidence = {k: dict(v) for k, v in self.evidence.items()}
         return {"tolerance": self.tolerance, "verdicts": dict(self.verdicts), "evidence": evidence}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassificationReport":
-        return cls(float(data["tolerance"]), dict(data["verdicts"]),
-                   {k: dict(v) for k, v in data["evidence"].items()})
-
 
 def _given_or_canonical(predicate, channel: KrausChannel, tol: float, cbc: bool,
                         refuted: bool = False):
@@ -291,15 +285,13 @@ def classify(channel: KrausChannel, tol: float = DEFAULT_TOL) -> ClassificationR
         passed, witnesses = _given_or_canonical(predicate, channel, tol, via_cbc, refuted)
         e[name] = {**witnesses[passed or "given"], "decomposition": passed or "given"}
         v[name] = "yes" if passed else "no"
-    cbc_ok, e["cbc"] = is_cbc(channel, tol)
-    v["scbc"] = v["cbc"] = "yes" if cbc_ok else "no"
-    dio_ok, e["dio"] = is_dio(channel, tol)
-    v["dio"] = "yes" if dio_ok else "no"
-
-    qc_ok, e["qc"] = is_qc(channel, tol)
-    v["qc"] = "yes" if qc_ok else "no"
+    for name, test in (("cbc", is_cbc), ("dio", is_dio), ("qc", is_qc)):
+        ok, e[name] = test(channel, tol)
+        v[name] = "yes" if ok else "no"
     v["entanglement_breaking"], e["entanglement_breaking"] = is_entanglement_breaking(channel, tol)
-    if qc_ok and v["entanglement_breaking"] == "no":
+
+    v["scbc"] = v["cbc"]  # the inclusions: SCBC = CBC, and EB is never "no" on a QC channel
+    if v["qc"] == "yes" and v["entanglement_breaking"] == "no":
         v["entanglement_breaking"] = _ppt_pass(d)
         e["entanglement_breaking"]["implied_by"] = "qc"
     return report

@@ -39,7 +39,6 @@ from .errors import CohbreakError, ParameterOutOfRangeError
 from .states import state_from_json
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 

@@ -232,10 +232,6 @@ class ConcentrationReport:
     def to_dict(self) -> dict:
         return asdict(self) | {"tail_wilson": [list(iv) for iv in self.tail_wilson]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConcentrationReport":
-        return cls(**data | {"tail_wilson": [tuple(iv) for iv in data["tail_wilson"]]})
-
 
 def run_concentration_experiment(
     channel,

@@ -30,12 +30,6 @@ def from_bloch(r: np.ndarray) -> np.ndarray:
     return rho
 
 
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch coordinates (Tr[rho sigma_x], Tr[rho sigma_y], Tr[rho sigma_z])."""
-    rho = _require_array(rho, (2, 2), "rho")
-    return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
-
-
 def maximally_coherent(d: int, thetas: np.ndarray | None = None) -> np.ndarray:
     """Projector of the phase state (1/sqrt d) sum_j exp(i theta_j) |j>.
 

@@ -193,6 +193,17 @@ STRING_NUMBERS = {
 BLOCH_STRING = {"bloch": ["0.3", 0.0, 0.0]}
 
 
+# Valid povm, gad and affine files but for a "dim" that is not the size of their
+# 2x2 matrices or not an integer: the library raises ValueError and the CLI exits 2.
+FORM_DIMS = {
+    "povm-dim-3": {"povm": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "dim": 3},
+    "gad-dim-7": {"gad": {"p": 0.5, "t": 0.5}, "dim": 7},
+    "affine-dim-string": {"affine": {"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": [0, 0, 0]},
+                          "dim": "x"},
+}
+
+
 # Sparse files that are each malformed in one way: the library raises
 # ValueError and the CLI exits 2. The good base is the dephasing channel
 # [[[0, 0, 1, 0]], [[1, 1, 1, 0]]]; a wrapped negative index would make

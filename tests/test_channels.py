@@ -48,11 +48,10 @@ from cohbreak.errors import (
 )
 from cohbreak.linalg import density_eigenvalues
 from cohbreak.states import (
-    bloch_vector,
     from_bloch,
     maximally_coherent,
 )
-from conftest import (BAD_DIMS, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
+from conftest import (BAD_DIMS, FORM_DIMS, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
                       random_density_matrix)
 
 
@@ -132,6 +131,13 @@ def test_apply_y_to_x_reproduces_reported_coherence():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply(identity_channel(2), np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dephasing_kraus_ops_are_the_basis_projectors_bit_for_bit(d):
+    projectors = np.array([np.outer(e, e) for e in np.eye(d, dtype=complex)])  # |i><i|
+    ops = dephasing_channel(d).kraus_ops
+    assert ops.shape == projectors.shape and ops.tobytes() == projectors.tobytes()
 
 
 def test_compose_identity_is_neutral():
@@ -313,7 +319,8 @@ def test_affine_is_consistent_with_apply():
         r = rng.normal(size=3)
         r /= max(1.0, np.linalg.norm(r)) * 1.01
         out = apply(ch, from_bloch(r))
-        assert np.abs(bloch_vector(out) - (rep.m @ r + rep.shift)).max() < 1e-10
+        # entries of (I + r.sigma)/2: 5e-11 bounds each Bloch coordinate's error by 1e-10
+        assert np.abs(out - from_bloch(rep.m @ r + rep.shift)).max() < 5e-11
 
 
 def test_affine_rejects_non_qubit():
@@ -598,8 +605,10 @@ def test_channel_json_dispatch_errors():
     {"povm": [[[[1.0, None]]]]},
     *({**dense_channel_json(dephasing_channel(2)), "dim": dim} for dim in BAD_DIMS.values()),
     *STRING_NUMBERS.values(),
+    *FORM_DIMS.values(),
 ], ids=["dim-null", "dim-infinity", "kraus-int", "entry-overflow", "gad-p-null",
-        "gad-p-overflow", "gad-p-true", "gad-int", "povm-entry-null", *BAD_DIMS, *STRING_NUMBERS])
+        "gad-p-overflow", "gad-p-true", "gad-int", "povm-entry-null", *BAD_DIMS, *STRING_NUMBERS,
+        *FORM_DIMS])
 def test_channel_json_conversion_failures_are_value_errors(obj):
     with pytest.raises(ValueError):
         channel_from_json(obj)

@@ -23,10 +23,8 @@ from cohbreak.channels import (
     random_incoherent_channel,
     random_povm,
     unitary_channel,
-    y_to_x_channel,
 )
 from cohbreak.classifiers import (
-    ClassificationReport,
     _unit_image_maxima,
     classify,
     is_cbc,
@@ -437,13 +435,6 @@ def test_report_dict_is_a_copy():
     data["evidence"]["qc"].clear()
     data["evidence"]["extra"] = {}
     assert json.dumps(report.to_dict()) == before
-
-
-def test_classify_report_round_trip():
-    report = classify(y_to_x_channel(0.5))
-    back = ClassificationReport.from_dict(report.to_dict())
-    assert back.verdicts == report.verdicts
-    assert back.tolerance == report.tolerance
 
 
 def test_classify_inclusion_chain_on_corpus(corpus):

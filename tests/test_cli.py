@@ -20,11 +20,9 @@ from cohbreak.channels import (
     random_povm,
     y_to_x_channel,
 )
-from cohbreak.classifiers import ClassificationReport
 from cohbreak.cli import main
-from cohbreak.concentration import ConcentrationReport
 from cohbreak.states import complex_matrix_to_json, state_to_json
-from conftest import (BLOCH_STRING, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
+from conftest import (BLOCH_STRING, FORM_DIMS, MALFORMED_SPARSE, STRING_NUMBERS, dense_channel_json,
                       rotated_dephasing_channel)
 
 
@@ -55,8 +53,8 @@ def test_classify_delta_all_yes(files, capsys):
     out = files["tmp"] / "report.json"
     code = main(["classify", "--channel", str(files["delta"]), "--out", str(out)])
     assert code == 0
-    report = ClassificationReport.from_dict(json.loads(out.read_text()))
-    assert all(v == "yes" for v in report.verdicts.values())
+    report = json.loads(out.read_text())
+    assert all(v == "yes" for v in report["verdicts"].values())
 
 
 def test_classify_gad_not_breaking(files):
@@ -158,8 +156,8 @@ def test_sparse_and_dense_files_give_identical_output(files, channel, argv):
 
 def test_classify_dimension_one_is_in_every_class(capsys):
     assert main(["classify", "--channel", "identity", "--dim", "1"]) == 0
-    report = ClassificationReport.from_dict(json.loads(capsys.readouterr().out))
-    assert set(report.verdicts.values()) == {"yes"}
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["verdicts"].values()) == {"yes"}
 
 
 def test_linalg_error_while_computing_is_domain_error(monkeypatch, capsys):
@@ -275,8 +273,8 @@ def test_concentrate_is_byte_identical_for_fixed_seed(files):
     assert main(argv + ["--out", str(out_a)]) == 0
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    report = ConcentrationReport.from_dict(json.loads(out_a.read_text()))
-    assert report.samples == 2000 and report.dim == 2
+    report = json.loads(out_a.read_text())
+    assert report["samples"] == 2000 and report["dim"] == 2
 
 
 def test_concentrate_csv_format(files):
@@ -404,6 +402,7 @@ GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
     ("--state", {**state_to_json(np.eye(2) / 2), "dim": "2"}),
     *(("--channel", obj) for obj in MALFORMED_SPARSE.values()),
     *(("--channel", obj) for obj in STRING_NUMBERS.values()),
+    *(("--channel", obj) for obj in FORM_DIMS.values()),
     ("--state", BLOCH_STRING),
     ("--channel", {"gad": {"p": True, "t": 0.5}}),
     ("--state", {"bloch": [0.3, 0.5, 0.2], **state_to_json(np.eye(2) / 2)}),
@@ -412,7 +411,8 @@ GOOD_KRAUS = dense_channel_json(dephasing_channel(2))
 ], ids=["dim-null", "dim-list", "gad-p-null", "kraus-int",
         "bloch-null", "bloch-short", "matrix-dim-null", "bloch-nan",
         "dim-float", "dim-string", "matrix-dim-float", "matrix-dim-string",
-        *(f"sparse-{name}" for name in MALFORMED_SPARSE), *STRING_NUMBERS, "bloch-string",
+        *(f"sparse-{name}" for name in MALFORMED_SPARSE), *STRING_NUMBERS, *FORM_DIMS,
+        "bloch-string",
         "gad-p-true", "bloch-and-matrix", "bloch-dim-3", "bloch-dim-string"])
 def test_malformed_input_file_is_usage_error_naming_it(files, capsys, flag, obj):
     path = files["tmp"] / "malformed.json"

@@ -21,7 +21,6 @@ from cohbreak.channels import (
 from cohbreak.coherence import c_l1
 from cohbreak.concentration import (
     _CHUNK_BYTES,
-    ConcentrationReport,
     _pure_outputs,
     _sample_output_coherences,
     apply_batch,
@@ -256,14 +255,6 @@ def test_experiment_validation():
     with pytest.raises(ParameterOutOfRangeError):
         run_concentration_experiment(identity_channel(4), d=8, samples=100,
                                      epsilons=[0.1], seed=0)
-
-
-def test_report_round_trip():
-    report = run_concentration_experiment(
-        identity_channel(4), d=4, samples=500, epsilons=[0.1], seed=11
-    )
-    back = ConcentrationReport.from_dict(report.to_dict())
-    assert back.to_dict() == report.to_dict()
 
 
 def test_contraction_of_unitary_channel_is_one():

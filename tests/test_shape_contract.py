@@ -23,7 +23,6 @@ from cohbreak.linalg import (
     trace_distance,
 )
 from cohbreak.states import (
-    bloch_vector,
     from_bloch,
     from_generalized_bloch,
     maximally_coherent,
@@ -54,7 +53,6 @@ CASES = {
     "partial_transpose": (lambda: partial_transpose(MIXED_3, 2), "mat", (3, 3), (4, 4)),
     "partial_trace": (lambda: partial_trace(MIXED_3, 2, keep=0), "mat", (3, 3), (4, 4)),
     "from_bloch": (lambda: from_bloch([0.1, 0.2]), "Bloch vector r", (2,), (3,)),
-    "bloch_vector": (lambda: bloch_vector(MIXED_3), "rho", (3, 3), (2, 2)),
     "maximally_coherent": (lambda: maximally_coherent(3, [0.0, 1.0]), "thetas", (2,), (3,)),
     "to_generalized_bloch": (lambda: to_generalized_bloch(MIXED_3, generalized_gell_mann(2)),
                              "rho", (3, 3), (2, 2)),
@@ -104,7 +102,6 @@ ARGUMENTS = {
     "partial_transpose": (lambda x: partial_transpose(x, 2), "mat", (4, 4), ""),
     "partial_trace": (lambda x: partial_trace(x, 2, keep=0), "mat", (4, 4), ""),
     "from_bloch": (from_bloch, "Bloch vector r", (3,), "rf"),
-    "bloch_vector": (bloch_vector, "rho", (2, 2), "f"),
     "maximally_coherent": (lambda x: maximally_coherent(2, x), "thetas", (2,), "rfo"),
     "to_generalized_bloch": (lambda x: to_generalized_bloch(x, GM2), "rho", (2, 2), "f"),
     "from_generalized_bloch": (lambda x: from_generalized_bloch(x, GM2), "coords", (3,), "rf"),

@@ -10,9 +10,8 @@ from cohbreak.errors import (
     InvalidDimensionError,
     NonFiniteError,
 )
-from cohbreak.linalg import generalized_gell_mann, trace_distance
+from cohbreak.linalg import PAULIS, generalized_gell_mann, trace_distance
 from cohbreak.states import (
-    bloch_vector,
     complex_matrix_from_json,
     from_bloch,
     from_generalized_bloch,
@@ -37,7 +36,8 @@ def test_from_bloch_pole_is_ground_state():
 
 def test_from_bloch_round_trips_coordinates():
     r = np.array([0.3, 0.5, 0.2])
-    assert np.abs(bloch_vector(from_bloch(r)) - r).max() < 1e-14
+    coords = [np.trace(from_bloch(r) @ sigma).real for sigma in PAULIS]  # Tr[rho sigma]
+    assert np.abs(np.array(coords) - r).max() < 1e-14
 
 
 def test_from_bloch_rejects_long_vectors():
